@@ -78,10 +78,6 @@ class Profile:
     t: tuple[tuple[int, int], ...]
     balanced: bool = True
 
-    @property
-    def counts(self) -> dict[int, int]:
-        return dict(self.t)
-
     def t_r(self, r: int) -> int:
         return dict(self.t).get(r, 0)
 

@@ -33,6 +33,8 @@ from .verify import sweep_verify
 
 _SAFE_INT = 2 ** 53
 
+_CATALOG_FLAG = {"ceva": "m", "braid": "n", "pencil": "d", "near-pencil": "d", "generic": "d"}
+
 
 def _jsonable(value):
     """Convert to JSON-safe primitives; big integers become strings."""
@@ -81,7 +83,11 @@ def _resolve_input(args) -> tuple[Profile, Optional[int], dict]:
 
     q: Optional[int] = None
     if args.input is not None:
-        profile = profile_of(parse_arrangement(Path(args.input).read_text()))
+        try:
+            text = Path(args.input).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise BadParameter(f"--input {args.input} is not UTF-8 text: {exc}") from None
+        profile = profile_of(parse_arrangement(text))
         source = f"file:{args.input}"
     elif args.profile:
         if args.d is None:
@@ -89,10 +95,11 @@ def _resolve_input(args) -> tuple[Profile, Optional[int], dict]:
         profile = validate_profile(args.d, _parse_t_pairs(args.t))
         source = "profile-flags"
     else:
-        params = [v for v in (args.m, args.n, args.d) if v is not None]
-        if len(params) > 1:
-            raise BadParameter("give at most one of --m, --n, --d with --catalog")
-        entry = catalog_profile(args.catalog, params[0] if params else None)
+        flag = _CATALOG_FLAG.get(args.catalog)  # hesse takes none
+        for name in ("m", "n", "d"):
+            if name != flag and getattr(args, name) is not None:
+                raise BadParameter(f"--catalog {args.catalog} does not take --{name}")
+        entry = catalog_profile(args.catalog, getattr(args, flag) if flag else None)
         profile, q = entry.profile, entry.q
         source = f"catalog:{entry.name}"
 
@@ -264,10 +271,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LineSurfError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LineSurfError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

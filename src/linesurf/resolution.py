@@ -10,17 +10,19 @@ and we emit its chain directly.
 
 Vertex order is fixed everywhere: central first (when present), then arm 1
 root to tip, arm 2, and so on.  DOT node names follow the same order:
-``c`` and ``a<arm>_<pos>``.
+``c`` and ``a<arm>_<pos>``.  ``eliminate`` is the package's one exact
+elimination: the definiteness test reads its pivot signs and the oracle solve
+in :mod:`linesurf.verify` its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Optional
 
-from .errors import BadMultiplicity, NotSymmetric
+from .errors import BadMultiplicity, BadParameter, NotSymmetric, SingularMatrix
 from .hjcf import hj_expand, modular_beta
 
 CHAIN = "chain"
@@ -60,7 +62,6 @@ class ResolutionGraph:
     shape: str
     central: Optional[tuple[int, int]]
     arms: tuple[tuple[int, ...], ...]
-    minimal: bool = True
 
     @property
     def lam(self) -> int:
@@ -129,7 +130,8 @@ def build_resolution_graph(r: int, d: int) -> ResolutionGraph:
     if d % r == 1:
         # here alpha = d, bprime = r, beta = (d-1)/r and n_1 = r+1, so the
         # blown-down root weight r stays >= 3: no cascading blow-downs
-        assert exp.terms and exp.terms[0] == r + 1
+        if not exp.terms or exp.terms[0] != r + 1:
+            raise AssertionError(f"blown-down root weight is not r for (r, d)=({r}, {d})")
         arm = (exp.terms[0] - 1,) + exp.terms[1:]
         return ResolutionGraph(r, d, BLOWN_DOWN_STAR, None, (arm,) * r)
     return ResolutionGraph(r, d, STAR, (wd.genus0, wd.b), (exp.terms,) * r)
@@ -146,17 +148,44 @@ def intersection_matrix(graph: ResolutionGraph) -> list[list[int]]:
     return m
 
 
+def eliminate(matrix, rhs) -> tuple[list[dict[int, int]], list[int]]:
+    """Integer elimination of the symmetric system M x = rhs, highest index first.
+
+    Pivot p = a_kk turns each row i < k into |p| row_i - sign(p) a_ik row_k,
+    then divides it and rhs_i by their gcd, so every row stays a positive
+    multiple of its rational counterpart.  Returns the sparse rows, now lower
+    triangular, and the rhs; rows[k][k] has the sign of the k-th pivot.
+    Intersection matrices lose arm tips first and get no fill-in.  A zero
+    pivot raises SingularMatrix.
+    """
+    try:
+        rows = [{j: index(v) for j, v in enumerate(row) if v} for row in matrix]
+        b = [index(v) for v in rhs]
+    except TypeError:
+        raise BadParameter("matrix and right-hand side entries must be integers") from None
+    for k in range(len(rows) - 1, -1, -1):
+        p = rows[k].get(k, 0)
+        if p == 0:
+            raise SingularMatrix(f"zero pivot at index {k}")
+        lower = [(j, v) for j, v in rows[k].items() if j < k]
+        for i, _ in lower:
+            factor = rows[i].pop(k) if p > 0 else -rows[i].pop(k)
+            row = {j: abs(p) * v for j, v in rows[i].items()}
+            for j, v in lower:
+                row[j] = row.get(j, 0) - factor * v
+            bi = abs(p) * b[i] - factor * b[k]
+            g = gcd(bi, *row.values()) or 1  # 0 when the row cancelled to zeros
+            rows[i] = {j: v // g for j, v in row.items() if v}
+            b[i] = bi // g
+    return rows, b
+
+
 def check_negative_definite(m) -> bool:
     """Exact Sylvester test: (-1)^k det M_k > 0 for all leading minors M_k.
 
-    Implemented as symmetric elimination over Fractions, processed from the
-    highest index down; each pivot is a ratio of consecutive leading
-    principal minors of the index-reversed matrix, so the matrix is negative
-    definite iff every pivot is negative (a zero pivot means a zero minor and
-    already fails).  Reversal is a symmetric permutation and cannot change
-    definiteness; for the tree-shaped intersection matrices, where arms come
-    after the central vertex, this order eliminates tips first and produces
-    no fill-in.
+    True iff every pivot of ``eliminate`` is negative: its pivots are ratios of
+    consecutive leading minors of the index-reversed matrix, a symmetric
+    permutation of M with the same definiteness.
     """
     n = len(m)
     for i, row in enumerate(m):
@@ -165,23 +194,11 @@ def check_negative_definite(m) -> bool:
         for j in range(i + 1, n):
             if m[i][j] != m[j][i]:
                 raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
-    rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in m]
-    for k in range(n - 1, -1, -1):
-        piv = rows[k].get(k, Fraction(0))
-        if piv >= 0:
-            return False
-        for i in [i for i in rows[k] if i < k]:
-            factor = rows[i][k] / piv
-            for j, v in rows[k].items():
-                if j >= k:
-                    continue
-                new = rows[i].get(j, Fraction(0)) - factor * v
-                if new:
-                    rows[i][j] = new
-                else:
-                    rows[i].pop(j, None)
-            del rows[i][k]
-    return True
+    try:
+        rows, _ = eliminate(m, [0] * n)
+    except SingularMatrix:
+        return False
+    return all(row[k] < 0 for k, row in enumerate(rows))
 
 
 def to_dot(graph: ResolutionGraph) -> str:

@@ -1,10 +1,11 @@
 """Independent oracle: recompute local invariants from the intersection matrix.
 
 Nothing here reuses the closed forms.  The coefficient vector comes from
-solving M a = k exactly over the rationals, where k_v = 2 g(v) - 2 + w(v) is
-the adjunction right-hand side; DCI is then the quadratic form a^T M a and
-DCII is the Euler characteristic of the exceptional configuration minus one.
-The sweep compares these against the closed forms in :mod:`linesurf.local`.
+solving M a = k exactly, through the elimination the definiteness test also
+uses, where k_v = 2 g(v) - 2 + w(v) is the adjunction right-hand side; DCI is
+then the quadratic form a^T M a and DCII is the Euler characteristic of the
+exceptional configuration minus one.  The sweep solves each (r, d) once and
+compares these against the closed forms in :mod:`linesurf.local`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadParameter, SingularMatrix
+from .errors import BadParameter
 from .local import canonical_coefficients, local_invariants
 from .resolution import (
     BLOWN_DOWN_STAR,
@@ -20,6 +21,7 @@ from .resolution import (
     STAR,
     ResolutionGraph,
     build_resolution_graph,
+    eliminate,
     intersection_matrix,
 )
 
@@ -40,38 +42,16 @@ class OracleReport:
 
 
 def solve_exact(matrix, rhs) -> list[Fraction]:
-    """Exact solve of a symmetric system, eliminating the highest index first.
-
-    For the tree-shaped (plus root clique) intersection matrices this order
-    produces essentially no fill-in, so the solve is near linear.
-    """
-    n = len(matrix)
-    rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in matrix]
-    b = [Fraction(v) for v in rhs]
-    for i in range(n - 1, 0, -1):
-        piv = rows[i].get(i, Fraction(0))
-        if piv == 0:
-            raise SingularMatrix(f"zero pivot at index {i}")
-        lower = [j for j in rows[i] if j < i]
-        for j in lower:
-            factor = rows[j][i] / piv
-            for col, v in rows[i].items():
-                if col == i:
-                    continue
-                new = rows[j].get(col, Fraction(0)) - factor * v
-                if new:
-                    rows[j][col] = new
-                else:
-                    rows[j].pop(col, None)
-            b[j] -= factor * b[i]
-            del rows[j][i]
-    x: list[Fraction] = [Fraction(0)] * n
-    for i in range(n):
-        piv = rows[i].get(i, Fraction(0))
-        if piv == 0:
-            raise SingularMatrix(f"zero pivot at index {i}")
-        x[i] = (b[i] - sum(v * x[j] for j, v in rows[i].items() if j < i)) / piv
-    return x
+    """Exact solve of a symmetric integer system M x = rhs: forward substitution
+    through the lower-triangular rows of ``eliminate``.  Integral components
+    stay ``int`` until the end, so an integral solution needs no ``Fraction``
+    arithmetic."""
+    rows, b = eliminate(matrix, rhs)
+    x: list = []
+    for i, row in enumerate(rows):
+        num = b[i] - sum(v * x[j] for j, v in row.items() if j < i)
+        x.append(num // row[i] if num % row[i] == 0 else Fraction(num) / row[i])
+    return [Fraction(v) for v in x]
 
 
 def adjunction_rhs(graph: ResolutionGraph) -> list[int]:
@@ -82,24 +62,24 @@ def adjunction_rhs(graph: ResolutionGraph) -> list[int]:
 def coefficients_from_matrix(graph: ResolutionGraph) -> tuple[int, ...]:
     """Solve M a = k and return the (asserted integral) coefficient vector."""
     solution = solve_exact(intersection_matrix(graph), adjunction_rhs(graph))
-    coeffs = []
-    for value in solution:
-        if value.denominator != 1:
-            raise AssertionError(f"non-integral coefficient {value} for (r, d)="
-                                 f"({graph.r}, {graph.d})")
-        coeffs.append(int(value))
-    return tuple(coeffs)
+    if any(value.denominator != 1 for value in solution):
+        raise AssertionError(f"non-integral coefficients {solution} for (r, d)="
+                             f"({graph.r}, {graph.d})")
+    return tuple(int(value) for value in solution)
 
 
 def local_invariants_from_graph(graph: ResolutionGraph) -> tuple[int, int]:
     """(oracle DCI, oracle DCII) from the matrix and configuration alone."""
-    m = intersection_matrix(graph)
-    a = coefficients_from_matrix(graph)
-    dci = sum(a[i] * a[i] * m[i][i] for i in range(len(a)))
+    return _oracle_invariants(graph, coefficients_from_matrix(graph))
+
+
+def _oracle_invariants(graph: ResolutionGraph, a: tuple[int, ...]) -> tuple[int, int]:
+    """DCI = a^T M a and DCII from the solved coefficients a of ``graph``."""
+    vertices = list(graph.iter_vertices())
+    dci = -sum(a[i] * a[i] * weight for i, (_, _, weight) in enumerate(vertices))
     dci += 2 * sum(a[i] * a[j] for i, j in graph.edge_list())
 
-    genera = [genus for _, genus, _ in graph.iter_vertices()]
-    chi_curves = sum(2 - 2 * g for g in genera)
+    chi_curves = sum(2 - 2 * genus for _, genus, _ in vertices)
     if graph.shape == BLOWN_DOWN_STAR:
         # the r arm roots meet in one common point of multiplicity r;
         # arm-internal edges are ordinary double points
@@ -120,7 +100,8 @@ def expected_vertex_coefficients(r: int, d: int) -> tuple[int, ...]:
         return (cc.values[0],) + cc.values[1:] * r
     if cc.shape == BLOWN_DOWN_STAR:
         return cc.values * r
-    assert cc.shape == CHAIN
+    if cc.shape != CHAIN:
+        raise AssertionError(f"unknown shape {cc.shape!r} for (r, d)=({r}, {d})")
     return cc.values
 
 
@@ -132,9 +113,9 @@ def sweep_verify(r_max: int, d_max: int) -> list[OracleReport]:
     for r in range(2, r_max + 1):
         for d in range(r, d_max + 1):
             graph = build_resolution_graph(r, d)
-            oracle_dci, oracle_dcii = local_invariants_from_graph(graph)
-            closed = local_invariants(r, d)
             solved = coefficients_from_matrix(graph)
+            oracle_dci, oracle_dcii = _oracle_invariants(graph, solved)
+            closed = local_invariants(r, d)
             reports.append(OracleReport(
                 r, d,
                 coefficients_match=solved == expected_vertex_coefficients(r, d),

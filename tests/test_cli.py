@@ -75,6 +75,24 @@ class TestInvariants:
         code, _, err = run(capsys, "invariants", "--input", "/nonexistent/zzz")
         assert code == 2
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1 0 0\n\xff\xfe 1 0\n0 0 1\n")
+        code, _, err = run(capsys, "invariants", "--input", str(path))
+        assert code == 2
+        assert str(path) in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("name, flag", [
+        ("ceva", "--n"), ("ceva", "--d"),
+        ("braid", "--m"), ("braid", "--d"),
+        ("pencil", "--m"), ("pencil", "--n"),
+        ("near-pencil", "--m"), ("generic", "--n"),
+        ("hesse", "--m"), ("hesse", "--n"), ("hesse", "--d"),
+    ])
+    def test_catalog_rejects_foreign_flag(self, capsys, name, flag):
+        code, _, err = run(capsys, "invariants", "--catalog", name, flag, "5")
+        assert code == 2 and flag in err
+
 
 class TestGraph:
     def test_summary(self, capsys):

@@ -12,7 +12,7 @@ from linesurf import (
     to_dot,
     weight_data,
 )
-from linesurf.errors import BadMultiplicity, NotSymmetric
+from linesurf.errors import BadMultiplicity, LineSurfError, NotSymmetric
 from linesurf.resolution import BLOWN_DOWN_STAR, CHAIN, STAR
 
 rd_pairs = st.integers(min_value=2, max_value=40).flatmap(
@@ -110,6 +110,7 @@ class TestIntersectionMatrix:
         assert not check_negative_definite([[1]])
         assert not check_negative_definite([[-1, 2], [2, -1]])
         assert not check_negative_definite([[-2, 1, 1], [1, 0, 0], [1, 0, -2]])
+        assert not check_negative_definite([[-1, 1], [1, -1]])  # row cancels to zero
         assert check_negative_definite([[-2, 1], [1, -2]])
         assert check_negative_definite([])
 
@@ -118,6 +119,10 @@ class TestIntersectionMatrix:
             check_negative_definite([[-2, 1], [0, -2]])
         with pytest.raises(NotSymmetric):
             check_negative_definite([[-2, 1]])
+
+    def test_rejects_non_integer(self):
+        with pytest.raises(LineSurfError):
+            check_negative_definite([[-0.5]])
 
     @settings(max_examples=50)
     @given(rd_pairs)

@@ -11,7 +11,8 @@ from linesurf import (
     local_invariants_from_graph,
     sweep_verify,
 )
-from linesurf.errors import BadParameter, SingularMatrix
+from linesurf import verify
+from linesurf.errors import BadParameter, LineSurfError, SingularMatrix
 from linesurf.verify import (
     adjunction_rhs,
     expected_vertex_coefficients,
@@ -30,8 +31,16 @@ class TestSolveExact:
         assert x == [Fraction(2, 3), Fraction(-1, 3)]
 
     def test_singular(self):
-        with pytest.raises(SingularMatrix):
-            solve_exact([[1, 1], [1, 1]], [1, 2])
+        # the second system cancels a row to all zeros, rhs included
+        for matrix, rhs in (([[1, 1], [1, 1]], [1, 2]), ([[1, 1], [1, 1]], [1, 1]),
+                            ([[0]], [1])):
+            with pytest.raises(SingularMatrix):
+                solve_exact(matrix, rhs)
+
+    @pytest.mark.parametrize("matrix, rhs", [([[-0.5]], [1]), ([[2]], [0.5])])
+    def test_rejects_non_integer(self, matrix, rhs):
+        with pytest.raises(LineSurfError):
+            solve_exact(matrix, rhs)
 
 
 class TestOracle:
@@ -66,6 +75,17 @@ class TestSweep:
         reports = sweep_verify(4, 12)
         assert len(reports) == sum(12 - r + 1 for r in range(2, 5))
         assert all(rep.ok for rep in reports)
+
+    def test_one_solve_per_pair(self, monkeypatch):
+        calls = []
+
+        def counting(matrix, rhs):
+            calls.append(matrix)
+            return solve_exact(matrix, rhs)
+
+        monkeypatch.setattr(verify, "solve_exact", counting)
+        reports = sweep_verify(4, 12)
+        assert len(calls) == len(reports)
 
     def test_report_fields(self):
         rep = sweep_verify(3, 5)[-1]
