@@ -1,11 +1,14 @@
 """Rational line arrangements in the projective plane and their profiles.
 
 An arrangement is an ordered list of distinct lines a*x + b*y + c*z = 0 with
-rational coefficients.  Its combinatorial profile records, for each
-multiplicity r >= 2, the number t_r of points lying on exactly r lines.  The
-profile is all that the downstream invariant machinery consumes, so named
-arrangements whose natural coordinates are not rational (Hesse, Ceva) enter
-through a catalog of profiles instead of coordinates.
+rational coefficients.  Each line is stored as its primitive integer triple:
+denominators cleared, gcd 1, first nonzero entry positive, so two lines are
+equal exactly when they are the same projective line.  Its combinatorial
+profile records, for each multiplicity r >= 2, the number t_r of points lying
+on exactly r lines; ``profile_of`` finds the points as primitive integer cross
+products.  The profile is all that the downstream invariant machinery
+consumes, so named arrangements whose natural coordinates are not rational
+(Hesse, Ceva) enter through a catalog of profiles instead of coordinates.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, isqrt, lcm
 from typing import Optional
 
 from .errors import (
@@ -27,22 +30,36 @@ from .errors import (
     ZeroForm,
 )
 
+# Largest decimal exponent magnitude a token may carry: Fraction("1e<k>")
+# builds 10**k, so k is held to the default digit limit of int(str).
+MAX_EXPONENT = 4300
+
 
 @dataclass(frozen=True)
 class Line:
-    """A projective line, scaled so the first nonzero coefficient is 1."""
+    """A projective line as its primitive integer triple: gcd(a, b, c) = 1 and
+    the first nonzero coefficient positive.  ``Line.of`` scales any rational
+    triple to this form."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    a: int
+    b: int
+    c: int
+
+    def __post_init__(self):
+        if gcd(self.a, self.b, self.c) != 1 or (self.a or self.b or self.c) < 0:
+            raise BadParameter(f"{self} is not a primitive integer triple; use Line.of")
 
     @classmethod
     def of(cls, a, b, c) -> "Line":
         coeffs = (Fraction(a), Fraction(b), Fraction(c))
-        lead = next((v for v in coeffs if v != 0), None)
-        if lead is None:
+        scale = lcm(*(v.denominator for v in coeffs))
+        ints = [v.numerator * (scale // v.denominator) for v in coeffs]
+        g = gcd(*ints)
+        if g == 0:
             raise ZeroForm("all three coefficients are zero")
-        return cls(*(v / lead for v in coeffs))
+        if (ints[0] or ints[1] or ints[2]) < 0:
+            g = -g
+        return cls(*(v // g for v in ints))
 
 
 @dataclass(frozen=True)
@@ -108,7 +125,8 @@ class HirzebruchDiagnostic:
 def parse_arrangement(text: str) -> Arrangement:
     """Parse the line-list format: one `a b c` triple per line.
 
-    Rational tokens (`p/q` or integers), `#` comments, blank lines ignored.
+    Rational tokens (`p/q`, integers or decimals), `#` comments, blank lines
+    ignored.  A decimal exponent beyond MAX_EXPONENT in magnitude is refused.
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -121,6 +139,10 @@ def parse_arrangement(text: str) -> Arrangement:
         coeffs = []
         for tok in tokens:
             try:
+                _, e, exponent = tok.lower().partition("e")
+                if e and abs(int(exponent)) > MAX_EXPONENT:
+                    raise MalformedLine(f"line {lineno}: exponent of {tok!r} exceeds "
+                                        f"{MAX_EXPONENT} in magnitude")
                 coeffs.append(Fraction(tok))
             except (ValueError, ZeroDivisionError):
                 raise MalformedLine(f"line {lineno}: {tok!r} is not a rational number") from None
@@ -131,26 +153,23 @@ def parse_arrangement(text: str) -> Arrangement:
     return Arrangement(tuple(lines))
 
 
-def intersection_point(l1: Line, l2: Line) -> tuple[Fraction, Fraction, Fraction]:
-    """The projective point on both lines, first nonzero coordinate scaled to 1."""
-    x = l1.b * l2.c - l1.c * l2.b
-    y = l1.c * l2.a - l1.a * l2.c
-    z = l1.a * l2.b - l1.b * l2.a
-    for lead in (x, y, z):
-        if lead != 0:
-            return (x / lead, y / lead, z / lead)
-    raise ZeroForm("lines are identical")  # unreachable for distinct lines
-
-
 def profile_of(arr: Arrangement) -> Profile:
-    """Group the pairwise intersection points and count multiplicities."""
-    through: dict[tuple, set[int]] = {}
-    for i in range(arr.d):
-        for j in range(i + 1, arr.d):
-            pt = intersection_point(arr.lines[i], arr.lines[j])
-            through.setdefault(pt, set()).update((i, j))
-    counts = Counter(len(idx) for idx in through.values())
+    """Count each pair's intersection point, the primitive integer cross
+    product of the two lines; a point on r lines is met by r(r-1)/2 pairs."""
+    lines = [(line.a, line.b, line.c) for line in arr.lines]
+    pairs = Counter(_points(lines))
+    counts = Counter((1 + isqrt(1 + 8 * n)) // 2 for n in pairs.values())
     return validate_profile(arr.d, dict(counts))
+
+
+def _points(lines):
+    for i, (a1, b1, c1) in enumerate(lines):
+        for a2, b2, c2 in lines[i + 1:]:
+            x, y, z = b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2
+            g = gcd(x, y, z)
+            if (x or y or z) < 0:
+                g = -g
+            yield (x // g, y // g, z // g)
 
 
 def validate_profile(d: int, t: dict, allow_unbalanced: bool = False) -> Profile:

@@ -80,6 +80,13 @@ def _resolve_input(args) -> tuple[Profile, Optional[int], dict]:
     ) if given]
     if len(sources) != 1:
         raise BadParameter("give exactly one of --input, --profile, --catalog")
+    kind, = sources
+    allowed = {"input": (), "profile": ("d", "t"),
+               "catalog": (_CATALOG_FLAG.get(args.catalog),)}[kind]  # hesse takes none
+    label = f"--catalog {args.catalog}" if kind == "catalog" else f"--{kind}"
+    for name in ("d", "t", "m", "n"):
+        if name not in allowed and getattr(args, name) is not None:
+            raise BadParameter(f"{label} does not take --{name}")
 
     q: Optional[int] = None
     if args.input is not None:
@@ -95,10 +102,7 @@ def _resolve_input(args) -> tuple[Profile, Optional[int], dict]:
         profile = validate_profile(args.d, _parse_t_pairs(args.t))
         source = "profile-flags"
     else:
-        flag = _CATALOG_FLAG.get(args.catalog)  # hesse takes none
-        for name in ("m", "n", "d"):
-            if name != flag and getattr(args, name) is not None:
-                raise BadParameter(f"--catalog {args.catalog} does not take --{name}")
+        flag = allowed[0]
         entry = catalog_profile(args.catalog, getattr(args, flag) if flag else None)
         profile, q = entry.profile, entry.q
         source = f"catalog:{entry.name}"

@@ -18,6 +18,7 @@ in :mod:`linesurf.verify` its rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 from operator import index
 from typing import Optional
@@ -155,14 +156,22 @@ def eliminate(matrix, rhs) -> tuple[list[dict[int, int]], list[int]]:
     then divides it and rhs_i by their gcd, so every row stays a positive
     multiple of its rational counterpart.  Returns the sparse rows, now lower
     triangular, and the rhs; rows[k][k] has the sign of the k-th pivot.
-    Intersection matrices lose arm tips first and get no fill-in.  A zero
-    pivot raises SingularMatrix.
+    Intersection matrices lose arm tips first and get no fill-in.  A matrix
+    that is not square and symmetric raises NotSymmetric, a zero pivot
+    SingularMatrix.
     """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise NotSymmetric("matrix is not square")
     try:
-        rows = [{j: index(v) for j, v in enumerate(row) if v} for row in matrix]
+        rows = [{j: index(row[j]) for j in compress(range(n), row)} for row in matrix]
         b = [index(v) for v in rhs]
     except TypeError:
         raise BadParameter("matrix and right-hand side entries must be integers") from None
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            if rows[j].get(i) != v:
+                raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
     for k in range(len(rows) - 1, -1, -1):
         p = rows[k].get(k, 0)
         if p == 0:
@@ -187,15 +196,8 @@ def check_negative_definite(m) -> bool:
     consecutive leading minors of the index-reversed matrix, a symmetric
     permutation of M with the same definiteness.
     """
-    n = len(m)
-    for i, row in enumerate(m):
-        if len(row) != n:
-            raise NotSymmetric("matrix is not square")
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
     try:
-        rows, _ = eliminate(m, [0] * n)
+        rows, _ = eliminate(m, [0] * len(m))
     except SingularMatrix:
         return False
     return all(row[k] < 0 for k, row in enumerate(rows))

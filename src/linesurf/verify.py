@@ -43,9 +43,9 @@ class OracleReport:
 
 def solve_exact(matrix, rhs) -> list[Fraction]:
     """Exact solve of a symmetric integer system M x = rhs: forward substitution
-    through the lower-triangular rows of ``eliminate``.  Integral components
-    stay ``int`` until the end, so an integral solution needs no ``Fraction``
-    arithmetic."""
+    through the lower-triangular rows of ``eliminate``, which refuses a matrix
+    that is not symmetric.  Integral components stay ``int`` until the end, so
+    an integral solution needs no ``Fraction`` arithmetic."""
     rows, b = eliminate(matrix, rhs)
     x: list = []
     for i, row in enumerate(rows):

@@ -1,6 +1,7 @@
 """Line parsing, profile extraction, catalog, and diagnostic tests."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -37,6 +38,19 @@ class TestLine:
         assert Line.of(0, -3, 9) == Line.of(0, 1, -3)
         assert Line.of(Fraction(1, 2), 0, 1) == Line.of(1, 0, 2)
 
+    def test_integer_canonical_form(self):
+        assert Line.of(2, 3, 0) == Line(2, 3, 0)
+        assert Line.of(Fraction(1, 2), Fraction(1, 3), 0) == Line(3, 2, 0)
+        assert Line.of(0, -3, 9) == Line(0, 1, -3)
+        assert all(type(v) is int for v in (Line.of(Fraction(-4, 6), 2, 0).a, Line.of(1, 1, 1).c))
+        with pytest.raises(TypeError):
+            Line(Fraction(1), 0, 0)
+
+    @pytest.mark.parametrize("coeffs", [(2, 0, 0), (-1, 0, 0), (0, 0, 0)])
+    def test_rejects_non_primitive_triple(self, coeffs):
+        with pytest.raises(BadParameter):
+            Line(*coeffs)
+
     def test_zero_form(self):
         with pytest.raises(ZeroForm):
             Line.of(0, 0, 0)
@@ -56,6 +70,12 @@ class TestParse:
             parse_arrangement("1 0\n")
         with pytest.raises(MalformedLine):
             parse_arrangement("1 0 zebra\n")
+
+    def test_exponent_bound(self):
+        assert parse_arrangement("1e4300 0 1\n1e-4300 1 0\n").lines[0] == Line(10 ** 4300, 0, 1)
+        for token in ("1e100000", "1e4301", "2.5E-4301"):
+            with pytest.raises(MalformedLine, match="exponent"):
+                parse_arrangement(f"{token} 0 1\n0 1 0\n")
 
     def test_zero_row_reports_line_number(self):
         with pytest.raises(ZeroForm, match="line 2"):
@@ -91,6 +111,17 @@ class TestProfile:
         arr = parse_arrangement("1 0 0\n0 1 0\n0 0 1\n1 1 1\n")
         assert profile_of(arr).t == ((2, 6),)
 
+    def test_rational_braid3(self):
+        # x, y, z, x - y, y - z, x - z: four triple points, three double points
+        arr = parse_arrangement("1 0 0\n0 1 0\n0 0 1\n1 -1 0\n0 1 -1\n1 0 -1\n")
+        assert profile_of(arr).t == ((2, 3), (3, 4))
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_fraction_grouping(self, seed):
+        rows = _random_rows(seed)
+        text = "".join(" ".join(str(v) for v in row) + "\n" for row in rows)
+        assert dict(profile_of(parse_arrangement(text)).t) == _fraction_profile(rows)
+
     @given(st.randoms(use_true_random=False))
     def test_profile_invariant_under_reorder_and_rescale(self, rng):
         rows = ["1 0 0", "0 1 0", "0 0 1", "1 1 1", "1 2 3"]
@@ -101,6 +132,45 @@ class TestProfile:
             k = rng.choice([-3, -1, 2, 5, Fraction(1, 2)])
             scaled.append(" ".join(str(Fraction(tok) * k) for tok in row.split()))
         assert profile_of(parse_arrangement("\n".join(scaled))) == base
+
+
+def _cross(p, q):
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def _random_rows(seed):
+    """Distinct lines as rational triples: three concurrent families, one
+    through a point at infinity (z = 0), plus free lines, each row scaled by a
+    non-integral rational of random sign."""
+    rng = random.Random(seed)
+    centres = [(1, rng.randint(-3, 3), 0)] + [
+        (rng.randint(-3, 3), rng.randint(-3, 3), 1) for _ in range(2)]
+    rows = [_cross(centre, [rng.randint(-4, 4) for _ in range(3)])
+            for centre in centres for _ in range(rng.randint(2, 6))]
+    rows += [[rng.randint(-4, 4) for _ in range(3)] for _ in range(rng.randint(2, 10))]
+    seen, out = set(), []
+    for row in rows:
+        if not any(row):
+            continue
+        lead = next(v for v in row if v)
+        key = tuple(Fraction(v, lead) for v in row)
+        if key not in seen:
+            seen.add(key)
+            scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 9))
+            out.append(tuple(Fraction(v) * scale for v in row))
+    return out
+
+
+def _fraction_profile(rows):
+    """Reference grouping on Fraction points, first nonzero coordinate scaled
+    to 1, with the set of lines through each point."""
+    through = {}
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            x, y, z = _cross(rows[i], rows[j])
+            lead = next(v for v in (x, y, z) if v)
+            through.setdefault((x / lead, y / lead, z / lead), set()).update((i, j))
+    return dict(Counter(len(lines) for lines in through.values()))
 
 
 class TestValidateProfile:

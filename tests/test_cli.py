@@ -88,9 +88,24 @@ class TestInvariants:
         ("pencil", "--m"), ("pencil", "--n"),
         ("near-pencil", "--m"), ("generic", "--n"),
         ("hesse", "--m"), ("hesse", "--n"), ("hesse", "--d"),
+        ("hesse", "--t"), ("ceva", "--t"),
     ])
     def test_catalog_rejects_foreign_flag(self, capsys, name, flag):
         code, _, err = run(capsys, "invariants", "--catalog", name, flag, "5")
+        assert code == 2 and flag in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--profile", "--d", "3", "--t", "2=3", "--m", "4"], "--m"),
+        (["--profile", "--d", "3", "--t", "2=3", "--n", "4"], "--n"),
+        (["--input", "{path}", "--d", "3"], "--d"),
+        (["--input", "{path}", "--t", "2=3"], "--t"),
+        (["--input", "{path}", "--m", "4"], "--m"),
+    ])
+    def test_source_rejects_foreign_flag(self, capsys, tmp_path, argv, flag):
+        path = tmp_path / "triangle.txt"
+        path.write_text("1 0 0\n0 1 0\n0 0 1\n")
+        argv = [arg.format(path=path) for arg in argv]
+        code, _, err = run(capsys, "invariants", *argv, "--q", "0", "--format", "json")
         assert code == 2 and flag in err
 
 

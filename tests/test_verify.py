@@ -12,7 +12,7 @@ from linesurf import (
     sweep_verify,
 )
 from linesurf import verify
-from linesurf.errors import BadParameter, LineSurfError, SingularMatrix
+from linesurf.errors import BadParameter, LineSurfError, NotSymmetric, SingularMatrix
 from linesurf.verify import (
     adjunction_rhs,
     expected_vertex_coefficients,
@@ -36,6 +36,11 @@ class TestSolveExact:
                             ([[0]], [1])):
             with pytest.raises(SingularMatrix):
                 solve_exact(matrix, rhs)
+
+    @pytest.mark.parametrize("matrix", [[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[1, 0], [0]]])
+    def test_rejects_asymmetric(self, matrix):
+        with pytest.raises(NotSymmetric):
+            solve_exact(matrix, [1, 1])
 
     @pytest.mark.parametrize("matrix, rhs", [([[-0.5]], [1]), ([[2]], [0.5])])
     def test_rejects_non_integer(self, matrix, rhs):
