@@ -8,6 +8,10 @@ and is the combinatorial backbone of the cyclic-quotient arm chains in the
 resolution graphs.  The product of the elementary matrices [[n_i, -1], [1, 0]]
 recovers (alpha, beta) in its first column; its second column is pinned down
 exactly when beta is the modular inverse datum used by the resolution.
+
+Expansions with d >> r are mostly long runs of 2s.  ``hj_expand`` takes each
+run in one step: while n_i = 2 the remainders fall by a fixed step, so the
+run's terms and remainders are a repeated tuple and a ``range``.
 """
 
 from __future__ import annotations
@@ -81,8 +85,11 @@ def hj_expand(alpha: int, beta: int) -> HJExpansion:
     """Expand alpha/beta, 0 < beta < alpha coprime, into terms all >= 2.
 
     The pair (1, 0) is accepted and yields the empty expansion.
-    Uses the remainder recurrence alpha_{i+1} = n_{i+1} alpha_i - alpha_{i-1}
-    with n_{i+1} = ceil(alpha_i / alpha_{i+1}); the expansion is unique.
+    Uses the remainder recurrence alpha_{i+1} = n_i alpha_i - alpha_{i-1}
+    with n_i = ceil(alpha_{i-1} / alpha_i); the expansion is unique.  A run
+    of 2s is one step: at a remainder pair (a, b) with ceil(a/b) = 2, put
+    s = a - b; the next a // s - 1 terms are 2 and their remainders are
+    b - s, b - 2s, ..., a mod s, the last nonnegative one.
     """
     if alpha == 1 and beta == 0:
         return HJExpansion(1, 0, (), (1, 0))
@@ -95,8 +102,15 @@ def hj_expand(alpha: int, beta: int) -> HJExpansion:
     while alphas[-1] > 0:
         a, b = alphas[-2], alphas[-1]
         n = -(-a // b)
-        terms.append(n)
-        alphas.append(n * b - a)
+        if n == 2:
+            # a run of 2s: the remainders fall by s = a - b down to a mod s
+            s = a - b
+            run = range(b - s, -1, -s)
+            terms += (2,) * len(run)
+            alphas += run
+        else:
+            terms.append(n)
+            alphas.append(n * b - a)
     return HJExpansion(alpha, beta, tuple(terms), tuple(alphas))
 
 

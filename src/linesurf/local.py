@@ -54,7 +54,7 @@ def canonical_coefficients(r: int, d: int) -> CanonicalCoefficients:
     if d % r == 1:
         lam = (d - 1) // r
         values = tuple(-(r - 2) * (lam + 1 - k) for k in range(1, lam + 1))
-        _check_blown_down_system(r, lam, values)
+        _check_blown_down_system(r, d, lam, values)
         return CanonicalCoefficients(r, d, BLOWN_DOWN_STAR, values)
     exp = hj_expand(wd.alpha, wd.beta)
     lam = exp.length
@@ -68,7 +68,8 @@ def canonical_coefficients(r: int, d: int) -> CanonicalCoefficients:
         for k in range(1, lam):
             n_k = exp.terms[k - 1]
             vals.append(n_k * vals[k] - vals[k - 1] + n_k - 2)
-        assert vals[-1] == -(r - 2)
+        if vals[-1] != -(r - 2):
+            raise AssertionError(f"tail coefficient is not -(r-2) for (r, d)=({r}, {d})")
     _check_star_system(wd, exp.terms, vals)
     return CanonicalCoefficients(r, d, STAR, tuple(vals))
 
@@ -83,7 +84,7 @@ def local_invariants(r: int, d: int) -> LocalInvariants:
     else:
         exp = hj_expand(wd.alpha, wd.beta)
         dci = (-d * (r - 2) ** 2
-               - r * sum(n - 2 for n in exp.terms)
+               - r * (sum(exp.terms) - 2 * exp.length)
                + 2 * (r - 2) * (r - wd.g)
                + (r - wd.b))
         dcii = 1 + r * exp.length - (r - 2) * (wd.g - 1)
@@ -96,16 +97,20 @@ def _check_star_system(wd, terms, vals) -> None:
     r, lam = wd.r, len(terms)
     a = list(vals) + [0]  # a_{lambda+1} = 0
     first = -wd.b * a[0] + (r * a[1] if lam >= 1 else 0)
-    assert first == (r - 2) * (wd.g - 1) - 2 + wd.b, (wd.r, wd.d)
+    if first != (r - 2) * (wd.g - 1) - 2 + wd.b:
+        raise AssertionError(f"central equation fails for (r, d)=({r}, {wd.d})")
     for k in range(1, lam + 1):
         n_k = terms[k - 1]
-        assert -n_k * a[k] + a[k - 1] + a[k + 1] == n_k - 2, (wd.r, wd.d, k)
+        if -n_k * a[k] + a[k - 1] + a[k + 1] != n_k - 2:
+            raise AssertionError(f"arm equation {k} fails for (r, d)=({r}, {wd.d})")
 
 
-def _check_blown_down_system(r, lam, values) -> None:
+def _check_blown_down_system(r, d, lam, values) -> None:
     """Residual check after blowing the central curve down; the root equation
     picks up (r-1) copies of a_1 from the pairwise-adjacent roots."""
     a = list(values) + [0]
-    assert -r * a[0] + (a[1] if lam >= 2 else 0) + (r - 1) * a[0] == r - 2
+    if -r * a[0] + (a[1] if lam >= 2 else 0) + (r - 1) * a[0] != r - 2:
+        raise AssertionError(f"root equation fails for (r, d)=({r}, {d})")
     for k in range(2, lam + 1):
-        assert -2 * a[k - 1] + a[k - 2] + a[k] == 0
+        if -2 * a[k - 1] + a[k - 2] + a[k] != 0:
+            raise AssertionError(f"arm equation {k} fails for (r, d)=({r}, {d})")

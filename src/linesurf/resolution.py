@@ -157,12 +157,14 @@ def eliminate(matrix, rhs) -> tuple[list[dict[int, int]], list[int]]:
     multiple of its rational counterpart.  Returns the sparse rows, now lower
     triangular, and the rhs; rows[k][k] has the sign of the k-th pivot.
     Intersection matrices lose arm tips first and get no fill-in.  A matrix
-    that is not square and symmetric raises NotSymmetric, a zero pivot
-    SingularMatrix.
+    that is not square and symmetric raises NotSymmetric, a right-hand side
+    of another length BadParameter, a zero pivot SingularMatrix.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise NotSymmetric("matrix is not square")
+    if len(rhs) != n:
+        raise BadParameter(f"right-hand side has {len(rhs)} entries for {n} rows")
     try:
         rows = [{j: index(row[j]) for j in compress(range(n), row)} for row in matrix]
         b = [index(v) for v in rhs]

@@ -72,7 +72,8 @@ def base_invariants(p: Profile) -> tuple[int, int, int]:
     k2_bar = d * (d - 4) ** 2
     chi_bar = d * (d * d - 4 * d + 6) - (d - 1) * sum(c * (r - 1) ** 2 for r, c in p.t)
     my_bar = 3 * chi_bar - k2_bar
-    assert my_bar == (d - 1) * sum(c * (r - 1) * (3 - r) for r, c in p.t)
+    if my_bar != (d - 1) * sum(c * (r - 1) * (3 - r) for r, c in p.t):
+        raise AssertionError(f"MY of the singular model disagrees for {p}")
     return k2_bar, chi_bar, my_bar
 
 
@@ -94,7 +95,8 @@ def global_invariants(p: Profile) -> GlobalInvariants:
     k2_bar, chi_bar, my_bar = base_invariants(p)
     c1sq, c2 = chern_numbers(p)
     my = my_tilde(p)
-    assert my == 3 * c2 - c1sq
+    if my != 3 * c2 - c1sq:
+        raise AssertionError(f"MY is not 3 c2 - c1^2 for {p}")
     ratio = Fraction(c1sq, c2) if c2 != 0 else None
     return GlobalInvariants(k2_bar, chi_bar, my_bar, c1sq, c2, my, ratio)
 
@@ -136,7 +138,8 @@ def hodge_diamond(p: Profile, q: int) -> HodgeDiamond:
     if pg < 0 or h11 < 0:
         raise NegativeHodgeNumber(
             f"(profile, q) pair is unrealizable: pg={pg}, h11={h11}")
-    assert 2 - 4 * q + 2 * pg + h11 == c2
+    if 2 - 4 * q + 2 * pg + h11 != c2:
+        raise AssertionError(f"Hodge numbers do not give c2 for {p}, q={q}")
     return HodgeDiamond(q, pg, h11)
 
 
@@ -159,6 +162,7 @@ def chern_ratio_analysis(p: Profile) -> dict:
         else:
             numer = d * (d - 3) * (d - 7)
             denom = d * (d * d - 4 * d + 6) - 3 * (d - 2) * t3
-        assert ratio == Fraction(1, 3) * (1 + 2 * Fraction(numer, denom))
+        if ratio != Fraction(1, 3) * (1 + 2 * Fraction(numer, denom)):
+            raise AssertionError(f"nodes-and-triples form disagrees for {p}")
         result["nodes_triples_form"] = {"numer": numer, "denom": denom}
     return result

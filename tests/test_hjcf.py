@@ -5,8 +5,26 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from linesurf import HJExpansion, TwoByTwo, g_product, hj_evaluate, hj_expand, modular_beta
+from linesurf import (
+    HJExpansion, TwoByTwo, g_product, hj_evaluate, hj_expand, modular_beta, weight_data)
 from linesurf.errors import BetaOutOfRange, NotCoprime, TermTooSmall
+
+
+def reference_expand(alpha, beta):
+    """(terms, alphas) of alpha/beta, one term per step of the remainder
+    recurrence; ``hj_expand`` takes a whole run of 2s in one step."""
+    alphas, terms = [alpha, beta], []
+    while alphas[-1] > 0:
+        a, b = alphas[-2], alphas[-1]
+        n = -(-a // b)
+        terms.append(n)
+        alphas.append(n * b - a)
+    return tuple(terms), tuple(alphas)
+
+
+def assert_matches_reference(alpha, beta):
+    exp = hj_expand(alpha, beta)
+    assert (exp.terms, exp.alphas) == reference_expand(alpha, beta), (alpha, beta)
 
 
 def coprime_pairs(max_alpha):
@@ -53,6 +71,37 @@ class TestExpand:
         exp = hj_expand(alpha, beta)
         assert all(n >= 2 for n in exp.terms)
         assert hj_evaluate(exp.terms) == (alpha, beta)
+
+
+class TestRunsOfTwos:
+    def test_all_small_pairs(self):
+        for alpha in range(2, 301):
+            for beta in range(1, alpha):
+                if gcd(alpha, beta) == 1:
+                    assert_matches_reference(alpha, beta)
+
+    def test_tail_weight_data(self):
+        # the large-d pairs of full reports: expansions of about 700 terms
+        for r in range(3, 7):
+            for d in range(2800, 3201):
+                wd = weight_data(r, d)
+                assert_matches_reference(wd.alpha, wd.beta)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 1000, 99_999, 100_000])
+    def test_one_run_and_one_term(self, d):
+        exp = hj_expand(d, d - 1)
+        assert exp.terms == (2,) * (d - 1)
+        assert exp.alphas == tuple(range(d, -1, -1))
+        exp = hj_expand(d, 1)
+        assert exp.terms == (d,) and exp.alphas == (d, 1, 0)
+
+    @pytest.mark.parametrize("head", [(3,), (2, 7), (5, 2, 4)])
+    @pytest.mark.parametrize("k", [1, 2, 999, 4000])
+    def test_run_ending_at_zero(self, head, k):
+        alpha, beta = hj_evaluate(head + (2,) * k)
+        assert alpha <= 100_000
+        assert hj_expand(alpha, beta).terms == head + (2,) * k
+        assert_matches_reference(alpha, beta)
 
 
 class TestEvaluate:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from linesurf import canonical_coefficients, local_invariants
+from linesurf import canonical_coefficients, local_invariants, weight_data
 from linesurf.errors import BadMultiplicity
 from linesurf.resolution import BLOWN_DOWN_STAR, CHAIN, STAR
 
@@ -87,6 +87,22 @@ class TestLocalInvariants:
                 inv = local_invariants(r, d)
                 assert inv.dmy == 3 * inv.dcii - inv.dci
                 assert inv.e == inv.dmy + (d - 1) * (r - 1) * (3 - r)
+
+    def test_tail_star_dci(self):
+        # DCI of a star from its closed form, with the expansion taken one
+        # term per step instead of by runs of 2s
+        for r in range(3, 7):
+            for d in range(2800, 3201):
+                if d % r == 1:
+                    continue
+                wd = weight_data(r, d)
+                a, b, excess = wd.alpha, wd.beta, 0
+                while b > 0:
+                    n = -(-a // b)
+                    a, b, excess = b, n * b - a, excess + n - 2
+                dci = (-d * (r - 2) ** 2 - r * excess
+                       + 2 * (r - 2) * (r - wd.g) + (r - wd.b))
+                assert local_invariants(r, d).dci == dci, (r, d)
 
     def test_bounds(self):
         with pytest.raises(BadMultiplicity):

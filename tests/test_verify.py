@@ -47,6 +47,11 @@ class TestSolveExact:
         with pytest.raises(LineSurfError):
             solve_exact(matrix, rhs)
 
+    @pytest.mark.parametrize("matrix, rhs", [([[1]], [1, 2]), ([[1, 0], [0, 1]], [1])])
+    def test_rejects_rhs_of_wrong_length(self, matrix, rhs):
+        with pytest.raises(BadParameter):
+            solve_exact(matrix, rhs)
+
 
 class TestOracle:
     def test_adjunction_rhs(self):
