@@ -1,17 +1,47 @@
 #!/usr/bin/env python3
-"""Run the oracle sweep and report timing and any mismatches.
+"""Run the oracle sweep and the definiteness sweep, with timing and any failures.
 
-Recomputes every local invariant from the intersection matrix (exact linear
-solve plus quadratic form) and compares against the closed forms.
+The oracle sweep recomputes every local invariant over 2 <= r <= r_max,
+r <= d <= d_max from the intersection matrix (exact linear solve plus
+quadratic form) and compares against the closed forms.  The definiteness
+sweep times check_negative_definite(intersection_matrix(g)) over the triangle
+2 <= r <= d <= 60, split by shape.  The defaults give both ROADMAP reference
+points: sweep_verify(10, 60) and definiteness over d <= 60.  The definiteness
+triangle keeps its bound of 60 because its dense matrices grow as the square
+of the vertex count (9901 vertices at (100, 199)).
 
 Example:
     python3 scripts/oracle_sweep.py --r-max 10 --d-max 60
+    python3 scripts/oracle_sweep.py --r-max 30 --d-max 200
 """
 
 import argparse
 import time
+from collections import Counter
 
-from linesurf import sweep_verify
+from linesurf import (
+    build_resolution_graph,
+    check_negative_definite,
+    intersection_matrix,
+    sweep_verify,
+)
+
+DEFINITE_D_MAX = 60
+
+
+def definiteness_sweep(d_max: int) -> tuple[Counter, list[tuple[int, int]]]:
+    """Seconds per shape, and the pairs whose graph is not negative definite."""
+    seconds: Counter = Counter()
+    failed = []
+    for d in range(2, d_max + 1):
+        for r in range(2, d + 1):
+            graph = build_resolution_graph(r, d)
+            start = time.perf_counter()
+            definite = check_negative_definite(intersection_matrix(graph))
+            seconds[graph.shape] += time.perf_counter() - start
+            if not definite:
+                failed.append((r, d))
+    return seconds, failed
 
 
 def main() -> int:
@@ -28,7 +58,14 @@ def main() -> int:
     for rep in bad:
         print(f"  r={rep.r} d={rep.d} coeffs={rep.coefficients_match} "
               f"dci={rep.dci_match} dcii={rep.dcii_match}")
-    return 1 if bad else 0
+
+    seconds, failed = definiteness_sweep(DEFINITE_D_MAX)
+    shapes = ", ".join(f"{shape} {s:.2f} s" for shape, s in sorted(seconds.items()))
+    print(f"definiteness over d <= {DEFINITE_D_MAX}: {sum(seconds.values()):.2f} s "
+          f"({shapes}), {len(failed)} not negative definite")
+    for r, d in failed:
+        print(f"  r={r} d={d}")
+    return 1 if bad or failed else 0
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Command-line interface: invariants, graph, local, verify, catalog.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error,
+3 failed internal check (a bug in linesurf, reported on one stderr line).
 JSON output is deterministic (sorted keys); integers whose magnitude exceeds
 2^53 are serialized as decimal strings so downstream double-based JSON
 parsers cannot corrupt them.
@@ -25,7 +26,7 @@ from .arrangement import (
     profile_of,
     validate_profile,
 )
-from .errors import BadParameter, LineSurfError
+from .errors import BadParameter, InternalCheckError, LineSurfError
 from .local import canonical_coefficients, local_invariants
 from .resolution import build_resolution_graph, to_dot
 from .surface import global_invariants, hodge_diamond, verdict
@@ -278,6 +279,9 @@ def main(argv=None) -> int:
     except (LineSurfError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except InternalCheckError as exc:
+        print(f"InternalCheckError: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

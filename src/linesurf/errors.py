@@ -5,6 +5,11 @@ class LineSurfError(Exception):
     """Base class for all library errors."""
 
 
+class InternalCheckError(AssertionError):
+    """An internal consistency check failed (a bug, not bad input); unlike
+    ``assert``, it is kept under ``python -O``."""
+
+
 # --- arrangement input errors ---
 
 class MalformedLine(LineSurfError):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InternalCheckError
 from .hjcf import hj_expand
 from .resolution import BLOWN_DOWN_STAR, CHAIN, STAR, weight_data
 
@@ -60,7 +61,7 @@ def canonical_coefficients(r: int, d: int) -> CanonicalCoefficients:
     lam = exp.length
     num = 1 + wd.bprime * wd.beta
     if num % wd.alpha != 0:
-        raise AssertionError(f"alpha does not divide 1 + b'*beta for (r, d)=({r}, {d})")
+        raise InternalCheckError(f"alpha does not divide 1 + b'*beta for (r, d)=({r}, {d})")
     a0 = (2 - r) * wd.alpha + wd.bprime - 1
     vals = [a0]
     if lam >= 1:
@@ -69,7 +70,7 @@ def canonical_coefficients(r: int, d: int) -> CanonicalCoefficients:
             n_k = exp.terms[k - 1]
             vals.append(n_k * vals[k] - vals[k - 1] + n_k - 2)
         if vals[-1] != -(r - 2):
-            raise AssertionError(f"tail coefficient is not -(r-2) for (r, d)=({r}, {d})")
+            raise InternalCheckError(f"tail coefficient is not -(r-2) for (r, d)=({r}, {d})")
     _check_star_system(wd, exp.terms, vals)
     return CanonicalCoefficients(r, d, STAR, tuple(vals))
 
@@ -98,11 +99,11 @@ def _check_star_system(wd, terms, vals) -> None:
     a = list(vals) + [0]  # a_{lambda+1} = 0
     first = -wd.b * a[0] + (r * a[1] if lam >= 1 else 0)
     if first != (r - 2) * (wd.g - 1) - 2 + wd.b:
-        raise AssertionError(f"central equation fails for (r, d)=({r}, {wd.d})")
+        raise InternalCheckError(f"central equation fails for (r, d)=({r}, {wd.d})")
     for k in range(1, lam + 1):
         n_k = terms[k - 1]
         if -n_k * a[k] + a[k - 1] + a[k + 1] != n_k - 2:
-            raise AssertionError(f"arm equation {k} fails for (r, d)=({r}, {wd.d})")
+            raise InternalCheckError(f"arm equation {k} fails for (r, d)=({r}, {wd.d})")
 
 
 def _check_blown_down_system(r, d, lam, values) -> None:
@@ -110,7 +111,7 @@ def _check_blown_down_system(r, d, lam, values) -> None:
     picks up (r-1) copies of a_1 from the pairwise-adjacent roots."""
     a = list(values) + [0]
     if -r * a[0] + (a[1] if lam >= 2 else 0) + (r - 1) * a[0] != r - 2:
-        raise AssertionError(f"root equation fails for (r, d)=({r}, {d})")
+        raise InternalCheckError(f"root equation fails for (r, d)=({r}, {d})")
     for k in range(2, lam + 1):
         if -2 * a[k - 1] + a[k - 2] + a[k] != 0:
-            raise AssertionError(f"arm equation {k} fails for (r, d)=({r}, {d})")
+            raise InternalCheckError(f"arm equation {k} fails for (r, d)=({r}, {d})")

@@ -9,21 +9,23 @@ the root weight dropped by one.  For r = 2 the germ is an A_{d-1} singularity
 and we emit its chain directly.
 
 Vertex order is fixed everywhere: central first (when present), then arm 1
-root to tip, arm 2, and so on.  DOT node names follow the same order:
-``c`` and ``a<arm>_<pos>``.  ``eliminate`` is the package's one exact
-elimination: the definiteness test reads its pivot signs and the oracle solve
-in :mod:`linesurf.verify` its rows.
+root to tip, arm 2, and so on; only DOT names the nodes: ``c`` and
+``a<arm>_<pos>``.  ``intersection_rows`` builds the sparse integer rows of the
+intersection matrix from the weights and edges in O(vertices + edges).
+``eliminate`` is the package's one exact elimination, on sparse rows updated
+in place: the definiteness test reads its pivot signs and the oracle solve in
+:mod:`linesurf.verify` its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, combinations, compress, repeat
 from math import gcd
 from operator import index
 from typing import Optional
 
-from .errors import BadMultiplicity, BadParameter, NotSymmetric, SingularMatrix
+from .errors import BadMultiplicity, BadParameter, InternalCheckError, NotSymmetric, SingularMatrix
 from .hjcf import hj_expand, modular_beta
 
 CHAIN = "chain"
@@ -73,8 +75,14 @@ class ResolutionGraph:
     def vertex_count(self) -> int:
         return (1 if self.central is not None else 0) + sum(len(a) for a in self.arms)
 
+    def weights(self) -> tuple[int, ...]:
+        """Vertex weights in the documented order; only the central curve,
+        when present, has nonzero genus."""
+        central = () if self.central is None else (self.central[1],)
+        return central + tuple(chain.from_iterable(self.arms))
+
     def iter_vertices(self):
-        """Yield (name, genus, weight) in the documented order."""
+        """Yield (name, genus, weight) in the documented order, for DOT."""
         if self.central is not None:
             yield ("c", self.central[0], self.central[1])
         for ai, arm in enumerate(self.arms, start=1):
@@ -87,19 +95,17 @@ class ResolutionGraph:
 
     def edge_list(self) -> tuple[tuple[int, int], ...]:
         """Undirected edges as index pairs, deterministic order."""
-        if self.lam == 0:
+        lam = self.lam
+        if lam == 0:
             return ()
         edges = []
         roots = self.arm_root_indices()
         for base in roots:
             if self.central is not None:
                 edges.append((0, base))
-            for k in range(self.lam - 1):
-                edges.append((base + k, base + k + 1))
+            edges.extend(zip(range(base, base + lam - 1), range(base + 1, base + lam)))
         if self.shape == BLOWN_DOWN_STAR:
-            for i in range(len(roots)):
-                for j in range(i + 1, len(roots)):
-                    edges.append((roots[i], roots[j]))
+            edges.extend(combinations(roots, 2))
         return tuple(edges)
 
 
@@ -113,10 +119,10 @@ def weight_data(r: int, d: int) -> WeightData:
     beta = modular_beta(alpha, bprime)
     num = g * (1 + bprime * beta)
     if num % alpha != 0:
-        raise AssertionError(f"central weight not integral for (r, d)=({r}, {d})")
+        raise InternalCheckError(f"central weight not integral for (r, d)=({r}, {d})")
     twice_genus = (r - 2) * (g - 1)
     if twice_genus % 2 != 0:
-        raise AssertionError(f"central genus not integral for (r, d)=({r}, {d})")
+        raise InternalCheckError(f"central genus not integral for (r, d)=({r}, {d})")
     return WeightData(r, d, g, alpha, alpha, bprime, r * d // g,
                       alpha, bprime, beta, num // alpha, twice_genus // 2)
 
@@ -132,7 +138,7 @@ def build_resolution_graph(r: int, d: int) -> ResolutionGraph:
         # here alpha = d, bprime = r, beta = (d-1)/r and n_1 = r+1, so the
         # blown-down root weight r stays >= 3: no cascading blow-downs
         if not exp.terms or exp.terms[0] != r + 1:
-            raise AssertionError(f"blown-down root weight is not r for (r, d)=({r}, {d})")
+            raise InternalCheckError(f"blown-down root weight is not r for (r, d)=({r}, {d})")
         arm = (exp.terms[0] - 1,) + exp.terms[1:]
         return ResolutionGraph(r, d, BLOWN_DOWN_STAR, None, (arm,) * r)
     return ResolutionGraph(r, d, STAR, (wd.genus0, wd.b), (exp.terms,) * r)
@@ -142,52 +148,96 @@ def intersection_matrix(graph: ResolutionGraph) -> list[list[int]]:
     """Symmetric matrix: diagonal -weight, 1 on adjacent vertex pairs."""
     n = graph.vertex_count
     m = [[0] * n for _ in range(n)]
-    for i, (_, _, weight) in enumerate(graph.iter_vertices()):
+    for i, weight in enumerate(graph.weights()):
         m[i][i] = -weight
     for i, j in graph.edge_list():
         m[i][j] = m[j][i] = 1
     return m
 
 
+def intersection_rows(graph: ResolutionGraph) -> list[dict[int, int]]:
+    """The rows of ``intersection_matrix`` as sparse dicts {column: entry}."""
+    rows = [{i: -weight} for i, weight in enumerate(graph.weights())]
+    for i, j in graph.edge_list():
+        rows[i][j] = rows[j][i] = 1
+    return rows
+
+
+def _sparse_rows(matrix) -> list[dict[int, int]]:
+    """Copy a square matrix of dense rows, or of dicts {column: entry}, into
+    sparse rows {column: nonzero entry}.  Every entry is checked in C-level
+    passes, zeros included: a non-integer raises TypeError."""
+    n = len(matrix)
+    is_dict = set(map(isinstance, matrix, repeat(dict)))
+    if True in is_dict:
+        if False in is_dict:
+            raise BadParameter("matrix rows must be all dense or all dicts")
+        cols = list(chain.from_iterable(matrix))
+        entries = list(chain.from_iterable(map(dict.values, matrix)))
+        if not set(map(type, cols + entries)) <= {int}:
+            raise TypeError("sparse rows need int columns and entries")
+        if cols and (min(cols) < 0 or max(cols) >= n):
+            raise NotSymmetric("matrix is not square")
+        if 0 in entries:
+            return [{j: v for j, v in row.items() if v} for row in matrix]
+        # no stored zeros, as in intersection_rows: a plain copy, about 5% of an oracle sweep
+        return list(map(dict, matrix))
+    if set(map(len, matrix)) - {n}:
+        raise NotSymmetric("matrix is not square")
+    index(sum(map(sum, matrix)))  # a non-integer entry, even a zero-like one, stays in the sum
+    return [{j: index(row[j]) for j in compress(range(n), row)} for row in matrix]
+
+
 def eliminate(matrix, rhs) -> tuple[list[dict[int, int]], list[int]]:
     """Integer elimination of the symmetric system M x = rhs, highest index first.
 
-    Pivot p = a_kk turns each row i < k into |p| row_i - sign(p) a_ik row_k,
-    then divides it and rhs_i by their gcd, so every row stays a positive
-    multiple of its rational counterpart.  Returns the sparse rows, now lower
+    ``matrix`` (dense rows or row dicts) is copied into sparse rows, which are
+    then updated in place.  Pivot p = a_kk turns each row i < k into |p| row_i
+    - sign(p) a_ik row_k, then divides it and rhs_i by their gcd, so every row
+    stays a positive multiple of its rational counterpart; a row is rebuilt
+    only when an entry cancels.  Returns the sparse rows, now lower
     triangular, and the rhs; rows[k][k] has the sign of the k-th pivot.
     Intersection matrices lose arm tips first and get no fill-in.  A matrix
-    that is not square and symmetric raises NotSymmetric, a right-hand side
-    of another length BadParameter, a zero pivot SingularMatrix.
+    that is not square and symmetric raises NotSymmetric, a non-integer entry
+    or a right-hand side of another length BadParameter, a zero pivot
+    SingularMatrix.
     """
     n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise NotSymmetric("matrix is not square")
-    if len(rhs) != n:
-        raise BadParameter(f"right-hand side has {len(rhs)} entries for {n} rows")
     try:
-        rows = [{j: index(row[j]) for j in compress(range(n), row)} for row in matrix]
-        b = [index(v) for v in rhs]
+        rows = _sparse_rows(matrix)
+        b = list(map(index, rhs))
     except TypeError:
         raise BadParameter("matrix and right-hand side entries must be integers") from None
+    if len(b) != n:
+        raise BadParameter(f"right-hand side has {len(b)} entries for {n} rows")
     for i, row in enumerate(rows):
         for j, v in row.items():
             if rows[j].get(i) != v:
                 raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
-    for k in range(len(rows) - 1, -1, -1):
-        p = rows[k].get(k, 0)
+    for k in range(n - 1, -1, -1):
+        pivot_row = rows[k]
+        p = pivot_row.pop(k, 0)
         if p == 0:
             raise SingularMatrix(f"zero pivot at index {k}")
-        lower = [(j, v) for j, v in rows[k].items() if j < k]
+        lower = list(pivot_row.items())  # the columns above k are gone already
+        pivot_row[k] = p
+        scale, bk = abs(p), b[k]
         for i, _ in lower:
-            factor = rows[i].pop(k) if p > 0 else -rows[i].pop(k)
-            row = {j: abs(p) * v for j, v in rows[i].items()}
+            row = rows[i]
+            factor = row.pop(k) if p > 0 else -row.pop(k)
+            if scale != 1:
+                for j in row:
+                    row[j] *= scale
             for j, v in lower:
                 row[j] = row.get(j, 0) - factor * v
-            bi = abs(p) * b[i] - factor * b[k]
+            bi = scale * b[i] - factor * bk
             g = gcd(bi, *row.values()) or 1  # 0 when the row cancelled to zeros
-            rows[i] = {j: v // g for j, v in row.items() if v}
+            if g > 1:
+                for j in row:
+                    row[j] //= g
             b[i] = bi // g
+            if 0 in row.values():
+                rows[i] = {j: v for j, v in row.items() if v}
     return rows, b
 
 

@@ -21,6 +21,7 @@ from typing import Optional
 
 from .arrangement import Profile, is_pencil
 from .errors import (
+    InternalCheckError,
     NegativeHodgeNumber,
     NoetherDivisibilityFailure,
     UnbalancedProfile,
@@ -73,7 +74,7 @@ def base_invariants(p: Profile) -> tuple[int, int, int]:
     chi_bar = d * (d * d - 4 * d + 6) - (d - 1) * sum(c * (r - 1) ** 2 for r, c in p.t)
     my_bar = 3 * chi_bar - k2_bar
     if my_bar != (d - 1) * sum(c * (r - 1) * (3 - r) for r, c in p.t):
-        raise AssertionError(f"MY of the singular model disagrees for {p}")
+        raise InternalCheckError(f"MY of the singular model disagrees for {p}")
     return k2_bar, chi_bar, my_bar
 
 
@@ -96,7 +97,7 @@ def global_invariants(p: Profile) -> GlobalInvariants:
     c1sq, c2 = chern_numbers(p)
     my = my_tilde(p)
     if my != 3 * c2 - c1sq:
-        raise AssertionError(f"MY is not 3 c2 - c1^2 for {p}")
+        raise InternalCheckError(f"MY is not 3 c2 - c1^2 for {p}")
     ratio = Fraction(c1sq, c2) if c2 != 0 else None
     return GlobalInvariants(k2_bar, chi_bar, my_bar, c1sq, c2, my, ratio)
 
@@ -139,7 +140,7 @@ def hodge_diamond(p: Profile, q: int) -> HodgeDiamond:
         raise NegativeHodgeNumber(
             f"(profile, q) pair is unrealizable: pg={pg}, h11={h11}")
     if 2 - 4 * q + 2 * pg + h11 != c2:
-        raise AssertionError(f"Hodge numbers do not give c2 for {p}, q={q}")
+        raise InternalCheckError(f"Hodge numbers do not give c2 for {p}, q={q}")
     return HodgeDiamond(q, pg, h11)
 
 
@@ -163,6 +164,6 @@ def chern_ratio_analysis(p: Profile) -> dict:
             numer = d * (d - 3) * (d - 7)
             denom = d * (d * d - 4 * d + 6) - 3 * (d - 2) * t3
         if ratio != Fraction(1, 3) * (1 + 2 * Fraction(numer, denom)):
-            raise AssertionError(f"nodes-and-triples form disagrees for {p}")
+            raise InternalCheckError(f"nodes-and-triples form disagrees for {p}")
         result["nodes_triples_form"] = {"numer": numer, "denom": denom}
     return result

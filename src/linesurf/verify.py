@@ -4,16 +4,18 @@ Nothing here reuses the closed forms.  The coefficient vector comes from
 solving M a = k exactly, through the elimination the definiteness test also
 uses, where k_v = 2 g(v) - 2 + w(v) is the adjunction right-hand side; DCI is
 then the quadratic form a^T M a and DCII is the Euler characteristic of the
-exceptional configuration minus one.  The sweep solves each (r, d) once and
-compares these against the closed forms in :mod:`linesurf.local`.
+exceptional configuration minus one.  The sweep solves each (r, d) once, on
+the graph's sparse rows (no dense matrix), and compares these against the
+closed forms in :mod:`linesurf.local`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .errors import BadParameter
+from .errors import BadParameter, InternalCheckError
 from .local import canonical_coefficients, local_invariants
 from .resolution import (
     BLOWN_DOWN_STAR,
@@ -22,7 +24,7 @@ from .resolution import (
     ResolutionGraph,
     build_resolution_graph,
     eliminate,
-    intersection_matrix,
+    intersection_rows,
 )
 
 
@@ -41,31 +43,35 @@ class OracleReport:
         return self.coefficients_match and self.dci_match and self.dcii_match
 
 
-def solve_exact(matrix, rhs) -> list[Fraction]:
-    """Exact solve of a symmetric integer system M x = rhs: forward substitution
-    through the lower-triangular rows of ``eliminate``, which refuses a matrix
-    that is not symmetric.  Integral components stay ``int`` until the end, so
-    an integral solution needs no ``Fraction`` arithmetic."""
+def solve_exact(matrix, rhs) -> list[int | Fraction]:
+    """Exact solve of a symmetric integer system M x = rhs, given as dense rows
+    or sparse row dicts: forward substitution through the lower-triangular
+    rows of ``eliminate``, which refuses a matrix that is not symmetric.  Each
+    component is an ``int`` when integral and a ``Fraction`` otherwise."""
     rows, b = eliminate(matrix, rhs)
     x: list = []
     for i, row in enumerate(rows):
-        num = b[i] - sum(v * x[j] for j, v in row.items() if j < i)
-        x.append(num // row[i] if num % row[i] == 0 else Fraction(num) / row[i])
-    return [Fraction(v) for v in x]
+        p = row.pop(i)
+        num = b[i] - sum(map(mul, row.values(), map(x.__getitem__, row)))
+        x.append(num // p if num % p == 0 else Fraction(num, p))
+    return x
 
 
 def adjunction_rhs(graph: ResolutionGraph) -> list[int]:
     """k_v = E_v . K = 2 g(v) - 2 + w(v) for every vertex."""
-    return [2 * genus - 2 + weight for _, genus, weight in graph.iter_vertices()]
+    rhs = [weight - 2 for weight in graph.weights()]
+    if graph.central is not None:
+        rhs[0] += 2 * graph.central[0]
+    return rhs
 
 
 def coefficients_from_matrix(graph: ResolutionGraph) -> tuple[int, ...]:
-    """Solve M a = k and return the (asserted integral) coefficient vector."""
-    solution = solve_exact(intersection_matrix(graph), adjunction_rhs(graph))
-    if any(value.denominator != 1 for value in solution):
-        raise AssertionError(f"non-integral coefficients {solution} for (r, d)="
-                             f"({graph.r}, {graph.d})")
-    return tuple(int(value) for value in solution)
+    """Solve M a = k on the graph's rows; return the (checked integral) coefficients."""
+    solution = solve_exact(intersection_rows(graph), adjunction_rhs(graph))
+    if not set(map(type, solution)) <= {int}:
+        raise InternalCheckError(f"non-integral coefficients {solution} for (r, d)="
+                                 f"({graph.r}, {graph.d})")
+    return tuple(solution)
 
 
 def local_invariants_from_graph(graph: ResolutionGraph) -> tuple[int, int]:
@@ -75,20 +81,19 @@ def local_invariants_from_graph(graph: ResolutionGraph) -> tuple[int, int]:
 
 def _oracle_invariants(graph: ResolutionGraph, a: tuple[int, ...]) -> tuple[int, int]:
     """DCI = a^T M a and DCII from the solved coefficients a of ``graph``."""
-    vertices = list(graph.iter_vertices())
-    dci = -sum(a[i] * a[i] * weight for i, (_, _, weight) in enumerate(vertices))
-    dci += 2 * sum(a[i] * a[j] for i, j in graph.edge_list())
+    weights, edges = graph.weights(), graph.edge_list()
+    dci = 2 * sum(a[i] * a[j] for i, j in edges) - sum(map(mul, map(mul, a, a), weights))
 
-    chi_curves = sum(2 - 2 * genus for _, genus, _ in vertices)
+    genus = graph.central[0] if graph.central is not None else 0
+    chi_curves = 2 * len(weights) - 2 * genus
     if graph.shape == BLOWN_DOWN_STAR:
         # the r arm roots meet in one common point of multiplicity r;
         # arm-internal edges are ordinary double points
         roots = set(graph.arm_root_indices())
-        simple = sum(1 for i, j in graph.edge_list()
-                     if not (i in roots and j in roots))
+        simple = sum(1 for i, j in edges if not (i in roots and j in roots))
         excess = simple + (graph.r - 1)
     else:
-        excess = len(graph.edge_list())
+        excess = len(edges)
     dcii = (chi_curves - excess) - 1
     return dci, dcii
 
@@ -101,7 +106,7 @@ def expected_vertex_coefficients(r: int, d: int) -> tuple[int, ...]:
     if cc.shape == BLOWN_DOWN_STAR:
         return cc.values * r
     if cc.shape != CHAIN:
-        raise AssertionError(f"unknown shape {cc.shape!r} for (r, d)=({r}, {d})")
+        raise InternalCheckError(f"unknown shape {cc.shape!r} for (r, d)=({r}, {d})")
     return cc.values
 
 

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from linesurf import resolution
 from linesurf.cli import main
+from linesurf.errors import InternalCheckError
 
 
 def run(capsys, *argv):
@@ -136,6 +138,14 @@ class TestLocal:
         payload = json.loads(out)
         assert (payload["dci"], payload["dcii"]) == (-3, 7)
         assert payload["coefficients"] == [-3, -2, -1]
+
+    def test_internal_check_failure_exits_3(self, capsys, monkeypatch):
+        # a wrong modular inverse breaks the integrality check in weight_data
+        monkeypatch.setattr(resolution, "modular_beta", lambda alpha, bprime: 0)
+        code, out, err = run(capsys, "local", "--r", "3", "--d", "5")
+        assert code == 3 and out == ""
+        assert err.startswith("InternalCheckError: ") and err.count("\n") == 1
+        assert issubclass(InternalCheckError, AssertionError)
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
 """Resolution graph shapes, intersection matrices, and definiteness tests."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -12,11 +13,32 @@ from linesurf import (
     to_dot,
     weight_data,
 )
-from linesurf.errors import BadMultiplicity, LineSurfError, NotSymmetric
-from linesurf.resolution import BLOWN_DOWN_STAR, CHAIN, STAR
+from linesurf.errors import BadMultiplicity, BadParameter, LineSurfError, NotSymmetric
+from linesurf.hjcf import hj_expand
+from linesurf.resolution import (
+    BLOWN_DOWN_STAR,
+    CHAIN,
+    STAR,
+    ResolutionGraph,
+    intersection_rows,
+)
 
 rd_pairs = st.integers(min_value=2, max_value=40).flatmap(
     lambda d: st.tuples(st.integers(min_value=2, max_value=d), st.just(d)))
+
+
+def star_criterion(r, d, b=None):
+    """Orlik-Wagreich / Neumann: a star with central weight b and r arms whose
+    weights expand alpha/beta is negative definite iff b - r beta/alpha > 0.
+    A blown-down star is judged by its star before blow-down, where b = 1."""
+    wd = weight_data(r, d)
+    return Fraction(wd.b if b is None else b) - Fraction(r * wd.beta, wd.alpha) > 0
+
+
+def unblown_star(r, d, b):
+    """The star of (r, d) before any blow-down, with central weight b."""
+    wd = weight_data(r, d)
+    return ResolutionGraph(r, d, STAR, (wd.genus0, b), (hj_expand(wd.alpha, wd.beta).terms,) * r)
 
 
 class TestWeightData:
@@ -104,6 +126,8 @@ class TestIntersectionMatrix:
             for r in range(2, d + 1):
                 m = intersection_matrix(build_resolution_graph(r, d))
                 assert check_negative_definite(m), (r, d)
+                if r >= 3:  # the star criterion agrees
+                    assert star_criterion(r, d), (r, d)
 
     def test_rejects_non_definite(self):
         assert not check_negative_definite([[0]])
@@ -124,6 +148,18 @@ class TestIntersectionMatrix:
         with pytest.raises(LineSurfError):
             check_negative_definite([[-0.5]])
 
+    @pytest.mark.parametrize("zero", ["", 0.0])
+    def test_rejects_zero_like_non_integer(self, zero):
+        # zero-like entries are checked too, not skipped as zeros
+        with pytest.raises(BadParameter):
+            check_negative_definite([[-2, zero], [zero, -2]])
+
+    def test_graph_rows(self):
+        assert intersection_rows(build_resolution_graph(3, 5)) == [
+            {0: -2, 1: 1, 3: 1, 5: 1}, {1: -2, 0: 1, 2: 1}, {2: -3, 1: 1},
+            {3: -2, 0: 1, 4: 1}, {4: -3, 3: 1}, {5: -2, 0: 1, 6: 1}, {6: -3, 5: 1}]
+        assert check_negative_definite(intersection_rows(build_resolution_graph(5, 21)))
+
     @settings(max_examples=50)
     @given(rd_pairs)
     def test_determinant_sign_via_pivots(self, pair):
@@ -135,6 +171,32 @@ class TestIntersectionMatrix:
         spoiled = [row[:] for row in m]
         spoiled[0][0] = 1
         assert not check_negative_definite(spoiled)
+
+
+class TestStarCriterion:
+    def test_blown_down_central_weight_is_one(self):
+        for d in range(4, 61):
+            for r in range(3, d):
+                if d % r == 1:
+                    assert weight_data(r, d).b == 1, (r, d)
+
+    def test_agrees_with_elimination_off_the_graphs(self):
+        # lowering the central weight by one makes some stars indefinite; the
+        # criterion and the elimination must still agree on every one
+        verdicts = set()
+        for d in range(3, 41):
+            for r in range(3, d + 1):
+                for b in (weight_data(r, d).b - 1, weight_data(r, d).b):
+                    verdict = star_criterion(r, d, b)
+                    assert verdict == check_negative_definite(
+                        intersection_rows(unblown_star(r, d, b))), (r, d, b)
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_holds_to_d_200(self):
+        for d in range(3, 201):
+            for r in range(3, d + 1):
+                assert star_criterion(r, d), (r, d)
 
 
 class TestDot:

@@ -1,18 +1,24 @@
 """Tests for the matrix-based oracle and the closed-form comparison sweep."""
 
+from collections import OrderedDict
 from fractions import Fraction
+from itertools import compress
 
 import pytest
+from hypothesis import given, strategies as st
 
 from linesurf import (
     build_resolution_graph,
+    check_negative_definite,
     coefficients_from_matrix,
+    intersection_matrix,
     local_invariants,
     local_invariants_from_graph,
     sweep_verify,
 )
 from linesurf import verify
 from linesurf.errors import BadParameter, LineSurfError, NotSymmetric, SingularMatrix
+from linesurf.resolution import intersection_rows
 from linesurf.verify import (
     adjunction_rhs,
     expected_vertex_coefficients,
@@ -52,6 +58,125 @@ class TestSolveExact:
         with pytest.raises(BadParameter):
             solve_exact(matrix, rhs)
 
+    def test_rejects_zero_like_non_integer(self):
+        # zero-like entries are checked too, not skipped as zeros
+        with pytest.raises(BadParameter):
+            solve_exact([[-2, None], [None, -2]], [2, 2])
+
+    def test_integral_components_are_ints(self):
+        x = solve_exact([[2, 1], [1, 2]], [3, 3])
+        assert x == [1, 1] and all(type(v) is int for v in x)
+        assert [type(v) for v in solve_exact([[2, 1], [1, 2]], [1, 0])] == [Fraction, Fraction]
+
+    def test_sparse_rows(self):
+        # dict rows give the dense result; stored zeros are dropped
+        assert solve_exact([{0: -2, 1: 1}, {0: 1, 1: -2, 2: 0}, {2: 1}], [0, -3, 5]) == [1, 2, 5]
+        rows = [{0: -2, 1: 1}, {0: 1, 1: -2}]
+        solve_exact(rows, [0, -3])
+        assert rows == [{0: -2, 1: 1}, {0: 1, 1: -2}]  # the caller's rows are copied
+
+    @pytest.mark.parametrize("rows, error", [
+        ([{0: -2, 1: 1}, {0: 1, 1: -2.0}], BadParameter),   # non-int entry
+        ([{0: -2, 1.0: 1}, {0: 1, 1: -2}], BadParameter),   # non-int column
+        ([{0: -2, 1: True}, {0: 1, 1: -2}], BadParameter),  # bool is not an int entry
+        ([{0: -2, 1: 1}, [1, -2]], BadParameter),           # dense and dict rows mixed
+        ([[-2, 1], OrderedDict({0: 1, 1: -2})], BadParameter),
+        ([{0: -2, 2: 1}, {1: -2}], NotSymmetric),           # column out of range
+        ([{0: -2, -1: 1}, {0: 1, 1: -2}], NotSymmetric),    # negative column
+        ([{0: -2, 1: 1}, {1: -2}], NotSymmetric),
+    ])
+    def test_rejects_bad_sparse_rows(self, rows, error):
+        with pytest.raises(error):
+            solve_exact(rows, [0, 0])
+
+
+def reference_solve(matrix, rhs):
+    """Plain Fraction Gauss elimination, highest index first and without row
+    exchanges, in the order of ``eliminate``; None at a zero pivot."""
+    n = len(matrix)
+    a = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for k in reversed(range(n)):
+        if a[k][k] == 0:
+            return None
+        for i in range(k):
+            factor = a[i][k] / a[k][k]
+            for j in range(n + 1):
+                a[i][j] -= factor * a[k][j]
+    x = []
+    for i in range(n):
+        x.append((a[i][n] - sum(a[i][j] * x[j] for j in range(i))) / a[i][i])
+    return x
+
+
+def reference_determinant(matrix):
+    """Fraction Gauss elimination with row exchanges."""
+    a = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            factor = a[i][k] / a[k][k]
+            for j in range(k, len(a)):
+                a[i][j] -= factor * a[k][j]
+    return det
+
+
+def reference_negative_definite(matrix):
+    """Sylvester: (-1)^k det M_k > 0 for every leading minor M_k."""
+    return all((-1) ** k * reference_determinant([row[:k] for row in matrix[:k]]) > 0
+               for k in range(1, len(matrix) + 1))
+
+
+@st.composite
+def symmetric_systems(draw):
+    """Symmetric integer systems with n <= 6: sparse entries, and a diagonal
+    shifted down by a random amount, so that definite, indefinite and
+    singular matrices all occur."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    entry = st.one_of(st.just(0), st.integers(min_value=-4, max_value=4))
+    shift = draw(st.integers(min_value=0, max_value=12))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            m[i][j] = m[j][i] = draw(entry) - (shift if i == j else 0)
+    rhs = draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n))
+    return m, rhs
+
+
+class TestAgainstFractionReference:
+    @given(symmetric_systems())
+    def test_solve_and_definiteness(self, system):
+        matrix, rhs = system
+        rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+        expected = reference_solve(matrix, rhs)
+        for given_matrix in (matrix, rows):
+            if expected is None:
+                with pytest.raises(SingularMatrix):
+                    solve_exact(given_matrix, rhs)
+            else:
+                assert solve_exact(given_matrix, rhs) == expected
+            assert check_negative_definite(given_matrix) == reference_negative_definite(matrix)
+
+
+class TestGraphRows:
+    def test_rows_and_solutions_match_dense_matrix(self):
+        # the graph's sparse rows against the dense matrix, and the sweep's
+        # solve on them against a solve of the dense matrix
+        for d in range(2, 61):
+            for r in range(2, d + 1):
+                g = build_resolution_graph(r, d)
+                m = intersection_matrix(g)
+                columns = range(len(m))
+                assert intersection_rows(g) == [{j: row[j] for j in compress(columns, row)}
+                                                for row in m], (r, d)
+                assert list(coefficients_from_matrix(g)) == solve_exact(m, adjunction_rhs(g)), (r, d)
+
 
 class TestOracle:
     def test_adjunction_rhs(self):
@@ -60,6 +185,7 @@ class TestOracle:
         rhs = adjunction_rhs(g)
         assert rhs[0] == 8
         assert all(v == w - 2 for v, (_, _, w) in zip(rhs[1:], list(g.iter_vertices())[1:]))
+        assert rhs == [2 * genus - 2 + w for _, genus, w in g.iter_vertices()]
 
     def test_chain_coefficients_vanish(self):
         g = build_resolution_graph(2, 9)
