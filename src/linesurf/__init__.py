@@ -21,7 +21,7 @@ from .arrangement import (
     profile_of,
     validate_profile,
 )
-from .hjcf import HJExpansion, TwoByTwo, g_product, hj_evaluate, hj_expand, modular_beta
+from .hjcf import HJExpansion, hj_expand, hj_summary, modular_beta
 from .local import (
     CanonicalCoefficients,
     LocalInvariants,
@@ -55,7 +55,7 @@ __all__ = [
     "Arrangement", "CatalogEntry", "Line", "Profile",
     "catalog_profile", "hirzebruch_diagnostic", "is_pencil",
     "parse_arrangement", "profile_of", "validate_profile",
-    "HJExpansion", "TwoByTwo", "g_product", "hj_evaluate", "hj_expand", "modular_beta",
+    "HJExpansion", "hj_expand", "hj_summary", "modular_beta",
     "CanonicalCoefficients", "LocalInvariants", "canonical_coefficients", "local_invariants",
     "ResolutionGraph", "WeightData", "build_resolution_graph",
     "check_negative_definite", "intersection_matrix", "to_dot", "weight_data",

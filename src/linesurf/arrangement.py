@@ -246,7 +246,11 @@ CATALOG_NAMES = ("hesse", "ceva", "braid", "pencil", "near-pencil", "generic")
 def hirzebruch_diagnostic(p: Profile) -> HirzebruchDiagnostic:
     """Check t_2 + (3/4) t_3 >= d + sum_{r>=5} (r-4) t_r.
 
-    Only applicable when t_d = t_{d-1} = 0.
+    Only applicable when t_d = t_{d-1} = 0.  This form and its hypothesis
+    cite no source and are unchecked.  Hirzebruch 1983 ("Arrangements of
+    lines and algebraic surfaces") proves, for complex arrangements with
+    t_d = t_{d-1} = t_{d-2} = 0, the inequality
+    t_2 + t_3 >= d + sum_{r>=5} (r-4) t_r.
     """
     if p.t_r(p.d) != 0 or p.t_r(p.d - 1) != 0:
         return HirzebruchDiagnostic(applicable=False)

@@ -56,10 +56,6 @@ class BetaOutOfRange(LineSurfError):
     """beta must satisfy 0 < beta < alpha (or be the (1, 0) convention)."""
 
 
-class TermTooSmall(LineSurfError):
-    """Continued fraction terms must all be >= 2."""
-
-
 # --- resolution errors ---
 
 class BadMultiplicity(LineSurfError):

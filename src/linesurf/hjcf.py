@@ -1,17 +1,17 @@
-"""Hirzebruch-Jung continued fractions and the associated 2x2 matrix products.
+"""Hirzebruch-Jung continued fractions.
 
 The expansion of a rational alpha/beta uses minus signs throughout:
 
     alpha/beta = n_1 - 1/(n_2 - 1/(... - 1/n_lambda)),   all n_i >= 2,
 
 and is the combinatorial backbone of the cyclic-quotient arm chains in the
-resolution graphs.  The product of the elementary matrices [[n_i, -1], [1, 0]]
-recovers (alpha, beta) in its first column; its second column is pinned down
-exactly when beta is the modular inverse datum used by the resolution.
+resolution graphs.  ``modular_beta`` gives the beta the resolution uses.
 
 Expansions with d >> r are mostly long runs of 2s.  ``hj_expand`` takes each
 run in one step: while n_i = 2 the remainders fall by a fixed step, so the
 run's terms and remainders are a repeated tuple and a ``range``.
+``hj_summary`` runs the same loop but keeps only the length lambda and the
+term sum, the two numbers the local invariants read, in O(log alpha) steps.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import BetaOutOfRange, NotCoprime, TermTooSmall
+from .errors import BetaOutOfRange, NotCoprime
 
 
 @dataclass(frozen=True)
@@ -40,31 +40,6 @@ class HJExpansion:
     def length(self) -> int:
         """Number of terms (the arm length lambda)."""
         return len(self.terms)
-
-
-@dataclass(frozen=True)
-class TwoByTwo:
-    """An integer 2x2 matrix [[a, b], [c, d]]."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    def __mul__(self, other: "TwoByTwo") -> "TwoByTwo":
-        return TwoByTwo(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    @classmethod
-    def identity(cls) -> "TwoByTwo":
-        return cls(1, 0, 0, 1)
 
 
 def modular_beta(alpha: int, bprime: int) -> int:
@@ -93,10 +68,7 @@ def hj_expand(alpha: int, beta: int) -> HJExpansion:
     """
     if alpha == 1 and beta == 0:
         return HJExpansion(1, 0, (), (1, 0))
-    if alpha < 2 or not 0 < beta < alpha:
-        raise BetaOutOfRange(f"need 0 < beta < alpha with alpha >= 2, got ({alpha}, {beta})")
-    if gcd(alpha, beta) != 1:
-        raise NotCoprime(f"gcd({alpha}, {beta}) != 1")
+    _check_pair(alpha, beta)
     alphas = [alpha, beta]
     terms = []
     while alphas[-1] > 0:
@@ -114,32 +86,36 @@ def hj_expand(alpha: int, beta: int) -> HJExpansion:
     return HJExpansion(alpha, beta, tuple(terms), tuple(alphas))
 
 
-def hj_evaluate(terms) -> tuple[int, int]:
-    """Evaluate a term list bottom-up to the coprime pair (alpha, beta).
+def hj_summary(alpha: int, beta: int) -> tuple[int, int]:
+    """(lambda, n_1 + ... + n_lambda) of ``hj_expand(alpha, beta)``.
 
-    The empty list evaluates to (1, 0).
+    Takes the same input, and (1, 0) gives (0, 0).  A run of 2s at the
+    remainder pair (a, b), s = a - b, adds k = a // s - 1 terms and moves to
+    the pair (a mod s + s, a mod s), so no term is stored and the loop takes
+    O(log alpha) steps.
     """
-    _check_terms(terms)
-    num, den = 1, 0
-    for n in reversed(list(terms)):
-        num, den = n * num - den, num
-    return num, den
+    if alpha == 1 and beta == 0:
+        return 0, 0
+    _check_pair(alpha, beta)
+    a, b = alpha, beta
+    length = total = 0
+    while b > 0:
+        n = -(-a // b)
+        if n == 2:
+            s = a - b
+            k = a // s - 1
+            length += k
+            total += 2 * k
+            a, b = a % s + s, a % s
+        else:
+            length += 1
+            total += n
+            a, b = b, n * b - a
+    return length, total
 
 
-def g_product(terms) -> TwoByTwo:
-    """Product G_1 G_2 ... G_lambda of the factors G_i = [[n_i, -1], [1, 0]].
-
-    The first column of the result is (alpha, beta) for the fraction the
-    terms evaluate to; each factor and the product have determinant 1.
-    """
-    _check_terms(terms)
-    g = TwoByTwo.identity()
-    for n in terms:
-        g = g * TwoByTwo(n, -1, 1, 0)
-    return g
-
-
-def _check_terms(terms) -> None:
-    for n in terms:
-        if not isinstance(n, int) or n < 2:
-            raise TermTooSmall(f"term {n!r} is not an integer >= 2")
+def _check_pair(alpha: int, beta: int) -> None:
+    if alpha < 2 or not 0 < beta < alpha:
+        raise BetaOutOfRange(f"need 0 < beta < alpha with alpha >= 2, got ({alpha}, {beta})")
+    if gcd(alpha, beta) != 1:
+        raise NotCoprime(f"gcd({alpha}, {beta}) != 1")

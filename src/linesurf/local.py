@@ -8,6 +8,9 @@ Three branches, mirroring the resolution shapes:
   otherwise          star; a_0, a_1 and a_lambda have closed forms and the
                      interior entries follow the three-term recurrence of the
                      adjunction system, which is re-verified before returning.
+                     DCI and DCII read only the arm length lambda and the
+                     term sum of alpha/beta, from ``hj_summary`` in
+                     O(log d) steps.
 
 The quadruple (DCI, DCII, DMY, E) records the changes in c_1^2, the Euler
 number, the Miyaoka-Yau number, and the per-point Miyaoka-Yau contribution
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalCheckError
-from .hjcf import hj_expand
+from .hjcf import hj_expand, hj_summary
 from .resolution import BLOWN_DOWN_STAR, CHAIN, STAR, weight_data
 
 
@@ -57,15 +60,15 @@ def canonical_coefficients(r: int, d: int) -> CanonicalCoefficients:
         values = tuple(-(r - 2) * (lam + 1 - k) for k in range(1, lam + 1))
         _check_blown_down_system(r, d, lam, values)
         return CanonicalCoefficients(r, d, BLOWN_DOWN_STAR, values)
-    exp = hj_expand(wd.alpha, wd.beta)
+    exp = hj_expand(wd.w1, wd.beta)
     lam = exp.length
-    num = 1 + wd.bprime * wd.beta
-    if num % wd.alpha != 0:
+    num = 1 + wd.w3 * wd.beta
+    if num % wd.w1 != 0:
         raise InternalCheckError(f"alpha does not divide 1 + b'*beta for (r, d)=({r}, {d})")
-    a0 = (2 - r) * wd.alpha + wd.bprime - 1
+    a0 = (2 - r) * wd.w1 + wd.w3 - 1
     vals = [a0]
     if lam >= 1:
-        vals.append((2 - r) * wd.beta + num // wd.alpha - 1)
+        vals.append((2 - r) * wd.beta + num // wd.w1 - 1)
         for k in range(1, lam):
             n_k = exp.terms[k - 1]
             vals.append(n_k * vals[k] - vals[k - 1] + n_k - 2)
@@ -83,12 +86,12 @@ def local_invariants(r: int, d: int) -> LocalInvariants:
         dci = -(d - 1) * (r - 2) ** 2
         dcii = d - 1
     else:
-        exp = hj_expand(wd.alpha, wd.beta)
+        lam, term_sum = hj_summary(wd.w1, wd.beta)
         dci = (-d * (r - 2) ** 2
-               - r * (sum(exp.terms) - 2 * exp.length)
+               - r * (term_sum - 2 * lam)
                + 2 * (r - 2) * (r - wd.g)
                + (r - wd.b))
-        dcii = 1 + r * exp.length - (r - 2) * (wd.g - 1)
+        dcii = 1 + r * lam - (r - 2) * (wd.g - 1)
     dmy = 3 * dcii - dci
     return LocalInvariants(r, d, dci, dcii, dmy, dmy + (d - 1) * (r - 1) * (3 - r))
 

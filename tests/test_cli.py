@@ -43,6 +43,18 @@ class TestInvariants:
         assert report["input"]["d"] == 3
         assert report["input"]["t"] == {"2": 3}
 
+    def test_huge_braid(self, capsys):
+        # d = 450,015,000: a star whose arms have about d/3 terms each, read
+        # from hj_summary without building them
+        code, out, _ = run(capsys, "invariants", "--catalog", "braid", "--n", "30000",
+                           "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        d = report["input"]["d"]
+        assert d == 30000 * 30001 // 2
+        triple = next(entry for entry in report["local"] if entry["r"] == 3)
+        assert (triple["dci"], triple["dcii"]) == (-d, d - 4)  # the d = 0 (mod r) row
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "invariants", "--catalog", "braid", "--n", "5",
                          "--format", "json")

@@ -1,13 +1,14 @@
-"""Continued fraction expansion, evaluation, and matrix product tests."""
+"""Continued fraction expansion and summary tests; evaluation and the matrix
+product are checked as the test-side reference helpers in ``hj_reference``."""
 
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from linesurf import (
-    HJExpansion, TwoByTwo, g_product, hj_evaluate, hj_expand, modular_beta, weight_data)
-from linesurf.errors import BetaOutOfRange, NotCoprime, TermTooSmall
+from hj_reference import TwoByTwo, g_product, hj_evaluate
+from linesurf import HJExpansion, hj_expand, hj_summary, modular_beta, weight_data
+from linesurf.errors import BetaOutOfRange, NotCoprime
 
 
 def reference_expand(alpha, beta):
@@ -23,8 +24,10 @@ def reference_expand(alpha, beta):
 
 
 def assert_matches_reference(alpha, beta):
+    """``hj_expand`` equals the reference, and ``hj_summary`` its length and sum."""
     exp = hj_expand(alpha, beta)
     assert (exp.terms, exp.alphas) == reference_expand(alpha, beta), (alpha, beta)
+    assert hj_summary(alpha, beta) == (len(exp.terms), sum(exp.terms)), (alpha, beta)
 
 
 def coprime_pairs(max_alpha):
@@ -85,15 +88,17 @@ class TestRunsOfTwos:
         for r in range(3, 7):
             for d in range(2800, 3201):
                 wd = weight_data(r, d)
-                assert_matches_reference(wd.alpha, wd.beta)
+                assert_matches_reference(wd.w1, wd.beta)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 1000, 99_999, 100_000])
     def test_one_run_and_one_term(self, d):
         exp = hj_expand(d, d - 1)
         assert exp.terms == (2,) * (d - 1)
         assert exp.alphas == tuple(range(d, -1, -1))
+        assert hj_summary(d, d - 1) == (d - 1, 2 * (d - 1))
         exp = hj_expand(d, 1)
         assert exp.terms == (d,) and exp.alphas == (d, 1, 0)
+        assert hj_summary(d, 1) == (1, d)
 
     @pytest.mark.parametrize("head", [(3,), (2, 7), (5, 2, 4)])
     @pytest.mark.parametrize("k", [1, 2, 999, 4000])
@@ -102,6 +107,26 @@ class TestRunsOfTwos:
         assert alpha <= 100_000
         assert hj_expand(alpha, beta).terms == head + (2,) * k
         assert_matches_reference(alpha, beta)
+
+
+class TestSummary:
+    def test_trivial_pair(self):
+        assert hj_summary(1, 0) == (0, 0)
+
+    @pytest.mark.parametrize("alpha, beta, error", [
+        (5, 0, BetaOutOfRange), (5, 5, BetaOutOfRange), (5, 7, BetaOutOfRange),
+        (5, -1, BetaOutOfRange), (1, 1, BetaOutOfRange), (0, 0, BetaOutOfRange),
+        (2, 0, BetaOutOfRange), (6, 4, NotCoprime), (9, 3, NotCoprime),
+        (10**40, 2, NotCoprime)])
+    def test_rejects_bad_input(self, alpha, beta, error):
+        # the same checks, and errors, as hj_expand
+        for fn in (hj_expand, hj_summary):
+            with pytest.raises(error):
+                fn(alpha, beta)
+
+    def test_huge_run(self):
+        # one run of 10**40 - 1 twos: no term is stored
+        assert hj_summary(10**40, 10**40 - 1) == (10**40 - 1, 2 * (10**40 - 1))
 
 
 class TestEvaluate:
@@ -113,9 +138,9 @@ class TestEvaluate:
         assert hj_evaluate((5,)) == (5, 1)
 
     def test_rejects_small_terms(self):
-        with pytest.raises(TermTooSmall):
+        with pytest.raises(ValueError):
             hj_evaluate((2, 1))
-        with pytest.raises(TermTooSmall):
+        with pytest.raises(ValueError):
             hj_evaluate((2.0,))
 
 

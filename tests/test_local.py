@@ -3,9 +3,23 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from linesurf import canonical_coefficients, local_invariants, weight_data
+from linesurf import canonical_coefficients, hj_expand, local_invariants, weight_data
 from linesurf.errors import BadMultiplicity
 from linesurf.resolution import BLOWN_DOWN_STAR, CHAIN, STAR
+
+
+def expansion_star_invariants(r, d):
+    """(DCI, DCII) of a star from the full expansion's terms: the reference
+    for ``local_invariants``, which reads only ``hj_summary``."""
+    wd = weight_data(r, d)
+    exp = hj_expand(wd.w1, wd.beta)
+    dci = (-d * (r - 2) ** 2
+           - r * (sum(exp.terms) - 2 * exp.length)
+           + 2 * (r - 2) * (r - wd.g)
+           + (r - wd.b))
+    dcii = 1 + r * exp.length - (r - 2) * (wd.g - 1)
+    return dci, dcii
+
 
 rd_pairs = st.integers(min_value=2, max_value=60).flatmap(
     lambda d: st.tuples(st.integers(min_value=2, max_value=d), st.just(d)))
@@ -96,13 +110,34 @@ class TestLocalInvariants:
                 if d % r == 1:
                     continue
                 wd = weight_data(r, d)
-                a, b, excess = wd.alpha, wd.beta, 0
+                a, b, excess = wd.w1, wd.beta, 0
                 while b > 0:
                     n = -(-a // b)
                     a, b, excess = b, n * b - a, excess + n - 2
                 dci = (-d * (r - 2) ** 2 - r * excess
                        + 2 * (r - 2) * (r - wd.g) + (r - wd.b))
                 assert local_invariants(r, d).dci == dci, (r, d)
+
+    def test_stars_match_expansion_formula(self):
+        for d in range(3, 201):
+            for r in range(3, d + 1):
+                if d % r != 1:
+                    inv = local_invariants(r, d)
+                    assert (inv.dci, inv.dcii) == expansion_star_invariants(r, d), (r, d)
+
+    def test_huge_degree(self):
+        # lambda is about 10**40 here, so only the run-skipping summary can
+        # answer.  On d = 3 (mod 5), DCI and DCII are affine in d with slopes
+        # -(r-2)^2 = -9 and 1, checked below from d = 18 to 198; extrapolate
+        # from d = 198.
+        big = 10**40 + 3
+        small = [local_invariants(5, d) for d in range(18, 201, 5)]
+        for a, b in zip(small, small[1:]):
+            assert (b.dci - a.dci, b.dcii - a.dcii) == (-45, 5)
+        base, inv = local_invariants(5, 198), local_invariants(5, big)
+        assert inv.dci == base.dci - 9 * (big - 198)
+        assert inv.dcii == base.dcii + (big - 198)
+        assert inv.dmy == 3 * inv.dcii - inv.dci
 
     def test_bounds(self):
         with pytest.raises(BadMultiplicity):

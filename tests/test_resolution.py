@@ -32,22 +32,21 @@ def star_criterion(r, d, b=None):
     weights expand alpha/beta is negative definite iff b - r beta/alpha > 0.
     A blown-down star is judged by its star before blow-down, where b = 1."""
     wd = weight_data(r, d)
-    return Fraction(wd.b if b is None else b) - Fraction(r * wd.beta, wd.alpha) > 0
+    return Fraction(wd.b if b is None else b) - Fraction(r * wd.beta, wd.w1) > 0
 
 
 def unblown_star(r, d, b):
     """The star of (r, d) before any blow-down, with central weight b."""
     wd = weight_data(r, d)
-    return ResolutionGraph(r, d, STAR, (wd.genus0, b), (hj_expand(wd.alpha, wd.beta).terms,) * r)
+    return ResolutionGraph(r, d, STAR, (wd.genus0, b), (hj_expand(wd.w1, wd.beta).terms,) * r)
 
 
 class TestWeightData:
     def test_example_r4_d12(self):
         wd = weight_data(4, 12)
-        assert (wd.g, wd.alpha, wd.bprime) == (4, 3, 1)
+        assert (wd.g, wd.w1, wd.w3) == (4, 3, 1)
         assert wd.beta == 2
         assert (wd.b, wd.genus0, wd.N) == (4, 3, 12)
-        assert (wd.w1, wd.w2, wd.w3) == (3, 3, 1)
 
     def test_bounds(self):
         with pytest.raises(BadMultiplicity):
@@ -60,8 +59,8 @@ class TestWeightData:
         r, d = pair
         wd = weight_data(r, d)
         assert wd.g == gcd(r, d)
-        assert wd.alpha * wd.g == d and wd.bprime * wd.g == r
-        if wd.alpha > 1:
+        assert wd.w1 * wd.g == d and wd.w3 * wd.g == r
+        if wd.w1 > 1:
             assert wd.b >= 1
 
 
