@@ -9,6 +9,11 @@ on exactly r lines; ``profile_of`` finds the points as primitive integer cross
 products.  The profile is all that the downstream invariant machinery
 consumes, so named arrangements whose natural coordinates are not rational
 (Hesse, Ceva) enter through a catalog of profiles instead of coordinates.
+
+This module owns profile input: a ``Profile`` checks its own ranges and the
+pair-count identity when it is built, so every profile is balanced, and
+``CATALOG`` is the one table of named entries, their parameters and their
+summaries.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import (
     BadParameter,
@@ -86,14 +91,29 @@ class Arrangement:
 class Profile:
     """Line count d plus the multiplicity counts t_r, stored sorted by r.
 
-    ``balanced`` is False only for profiles constructed with
-    ``allow_unbalanced``; such profiles are combinatorially unrealizable and
-    are refused by all verdict-level operations.
+    Construction checks d >= 2, each r in [2, d] and strictly increasing with
+    a positive count, and the pair-count identity sum t_r r(r-1)/2 =
+    d(d-1)/2, so every profile is balanced.
     """
 
     d: int
     t: tuple[tuple[int, int], ...]
-    balanced: bool = True
+
+    def __post_init__(self):
+        d, last, total = self.d, 1, 0
+        if d < 2:
+            raise BadParameter(f"d must be >= 2, got {d}")
+        for r, count in self.t:
+            if r < 2 or r > d:
+                raise MultiplicityOutOfRange(f"multiplicity {r} outside [2, {d}]")
+            if r <= last:
+                raise MultiplicityOutOfRange(f"multiplicity {r} follows {last}; sort t by r")
+            if count <= 0:
+                raise BadParameter(f"count for multiplicity {r} must be positive, got {count}")
+            last, total = r, total + count * r * (r - 1) // 2
+        target = d * (d - 1) // 2
+        if total != target:
+            raise UnbalancedProfile(f"sum t_r r(r-1)/2 = {total}, expected d(d-1)/2 = {target}")
 
     def t_r(self, r: int) -> int:
         return dict(self.t).get(r, 0)
@@ -172,28 +192,10 @@ def _points(lines):
             yield (x // g, y // g, z // g)
 
 
-def validate_profile(d: int, t: dict, allow_unbalanced: bool = False) -> Profile:
-    """Check multiplicity ranges and the pair-count identity.
-
-    With ``allow_unbalanced`` the identity check is skipped and the profile
-    is flagged unrealizable instead.
-    """
-    if d < 2:
-        raise BadParameter(f"d must be >= 2, got {d}")
-    items = []
-    for r in sorted(t):
-        count = t[r]
-        if r < 2 or r > d:
-            raise MultiplicityOutOfRange(f"multiplicity {r} outside [2, {d}]")
-        if count <= 0:
-            raise BadParameter(f"count for multiplicity {r} must be positive, got {count}")
-        items.append((int(r), int(count)))
-    total = sum(c * r * (r - 1) // 2 for r, c in items)
-    target = d * (d - 1) // 2
-    balanced = total == target
-    if not balanced and not allow_unbalanced:
-        raise UnbalancedProfile(f"sum t_r r(r-1)/2 = {total}, expected d(d-1)/2 = {target}")
-    return Profile(d, tuple(items), balanced=balanced)
+def validate_profile(d: int, t: dict) -> Profile:
+    """The profile of d lines with counts {r: t_r}, sorted by r; ``Profile``
+    checks it."""
+    return Profile(d, tuple([(int(r), int(c)) for r, c in sorted(t.items())]))
 
 
 def is_pencil(p: Profile) -> bool:
@@ -201,46 +203,50 @@ def is_pencil(p: Profile) -> bool:
     return p.t_r(p.d) == 1
 
 
+class CatalogRow(NamedTuple):
+    """A catalog entry: its parameter's CLI flag and minimum (None for an
+    entry without one), the summary ``linesurf catalog`` prints, and
+    ``build(param) -> (d, {r: t_r}, q)``, where a zero count means no such
+    points and q is None unless a published value exists."""
+
+    flag: Optional[str]
+    minimum: Optional[int]
+    summary: str
+    build: Callable[[Optional[int]], tuple[int, dict, Optional[int]]]
+
+
+CATALOG = {
+    "hesse": CatalogRow(None, None, "d=12, t_2=12, t_4=9, q=3",
+                        lambda _: (12, {2: 12, 4: 9}, 3)),
+    "ceva": CatalogRow("m", 2, "d=3M; M=3: t_3=12; else t_3=M^2, t_M=3; q=2 if 3|M else 1",
+                       lambda m: (3 * m, {3: 12} if m == 3 else {3: m * m, m: 3},
+                                  2 if m % 3 == 0 else 1)),
+    "braid": CatalogRow("n", 2, "d=N(N+1)/2, t_3=C(N+1,3), t_2=(N+1)N(N-1)(N-2)/8; "
+                                "q=1 if N in {2,3} else 0",
+                        lambda n: (comb(n + 1, 2), {2: 3 * comb(n + 1, 4), 3: comb(n + 1, 3)},
+                                   1 if n in (2, 3) else 0)),
+    "pencil": CatalogRow("d", 2, "t_D=1", lambda d: (d, {d: 1}, None)),
+    # the d = 3 near-pencil is the triangle, t_2 = 3
+    "near-pencil": CatalogRow("d", 3, "t_{D-1}=1, t_2=D-1",
+                              lambda d: (d, {2: 3} if d == 3 else {2: d - 1, d - 1: 1}, None)),
+    "generic": CatalogRow("d", 2, "t_2=C(D,2)", lambda d: (d, {2: comb(d, 2)}, None)),
+}
+
+
 def catalog_profile(name: str, param: Optional[int] = None) -> CatalogEntry:
-    """Look up a named profile: hesse, ceva(m), braid(n), pencil(d),
-    near-pencil(d), generic(d).
-
-    q is attached only where a published value exists (hesse, ceva, braid).
-    """
-    if name == "hesse":
-        _reject_param(name, param)
-        return CatalogEntry("hesse", validate_profile(12, {2: 12, 4: 9}), q=3)
-    if name == "ceva":
-        m = _require_param(name, param, minimum=2)
-        if m == 3:
-            t: dict[int, int] = {3: 12}
-        else:
-            t = {3: m * m, m: 3}
-        return CatalogEntry(f"ceva({m})", validate_profile(3 * m, t),
-                            q=2 if m % 3 == 0 else 1)
-    if name == "braid":
-        n = _require_param(name, param, minimum=2)
-        t = {3: comb(n + 1, 3)}
-        t2 = (n + 1) * n * (n - 1) * (n - 2) // 8
-        if t2:
-            t[2] = t2
-        return CatalogEntry(f"braid({n})", validate_profile(n * (n + 1) // 2, t),
-                            q=1 if n in (2, 3) else 0)
-    if name == "pencil":
-        d = _require_param(name, param, minimum=2)
-        return CatalogEntry(f"pencil({d})", validate_profile(d, {d: 1}))
-    if name == "near-pencil":
-        d = _require_param(name, param, minimum=3)
-        t = {d - 1: 1}
-        t[2] = t.get(2, 0) + (d - 1)  # d = 3 merges into t_2 = 3
-        return CatalogEntry(f"near-pencil({d})", validate_profile(d, t))
-    if name == "generic":
-        d = _require_param(name, param, minimum=2)
-        return CatalogEntry(f"generic({d})", validate_profile(d, {2: comb(d, 2)}))
-    raise UnknownCatalogName(name)
-
-
-CATALOG_NAMES = ("hesse", "ceva", "braid", "pencil", "near-pencil", "generic")
+    """Look up a named profile in ``CATALOG``: hesse, ceva(m), braid(n),
+    pencil(d), near-pencil(d), generic(d)."""
+    row = CATALOG.get(name)
+    if row is None:
+        raise UnknownCatalogName(name)
+    if (param is None) != (row.flag is None):
+        need = "needs an integer parameter" if row.flag else "takes no parameter"
+        raise BadParameter(f"catalog entry {name!r} {need}")
+    if row.flag and param < row.minimum:
+        raise BadParameter(f"catalog entry {name!r} needs a parameter >= {row.minimum}, got {param}")
+    d, t, q = row.build(param)
+    return CatalogEntry(f"{name}({param})" if row.flag else name,
+                        validate_profile(d, {r: c for r, c in t.items() if c}), q)
 
 
 def hirzebruch_diagnostic(p: Profile) -> HirzebruchDiagnostic:
@@ -257,16 +263,3 @@ def hirzebruch_diagnostic(p: Profile) -> HirzebruchDiagnostic:
     lhs = Fraction(p.t_r(2)) + Fraction(3, 4) * p.t_r(3)
     rhs = Fraction(p.d) + sum((r - 4) * c for r, c in p.t if r >= 5)
     return HirzebruchDiagnostic(True, lhs, rhs, lhs >= rhs)
-
-
-def _require_param(name: str, param: Optional[int], minimum: int) -> int:
-    if param is None:
-        raise BadParameter(f"catalog entry {name!r} needs an integer parameter")
-    if param < minimum:
-        raise BadParameter(f"catalog entry {name!r} needs a parameter >= {minimum}, got {param}")
-    return param
-
-
-def _reject_param(name: str, param: Optional[int]) -> None:
-    if param is not None:
-        raise BadParameter(f"catalog entry {name!r} takes no parameter")

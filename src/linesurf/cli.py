@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import __version__
 from .arrangement import (
-    CATALOG_NAMES,
+    CATALOG,
     Profile,
     catalog_profile,
     parse_arrangement,
@@ -33,8 +33,6 @@ from .surface import global_invariants, hodge_diamond, verdict
 from .verify import sweep_verify
 
 _SAFE_INT = 2 ** 53
-
-_CATALOG_FLAG = {"ceva": "m", "braid": "n", "pencil": "d", "near-pencil": "d", "generic": "d"}
 
 
 def _jsonable(value):
@@ -82,8 +80,8 @@ def _resolve_input(args) -> tuple[Profile, Optional[int], dict]:
     if len(sources) != 1:
         raise BadParameter("give exactly one of --input, --profile, --catalog")
     kind, = sources
-    allowed = {"input": (), "profile": ("d", "t"),
-               "catalog": (_CATALOG_FLAG.get(args.catalog),)}[kind]  # hesse takes none
+    allowed = ((CATALOG[args.catalog].flag,) if kind == "catalog"  # hesse's is None
+               else {"input": (), "profile": ("d", "t")}[kind])
     label = f"--catalog {args.catalog}" if kind == "catalog" else f"--{kind}"
     for name in ("d", "t", "m", "n"):
         if name not in allowed and getattr(args, name) is not None:
@@ -218,16 +216,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    rows = [
-        ("hesse", "d=12, t_2=12, t_4=9, q=3"),
-        ("ceva --m M (M>=2)", "d=3M; M=3: t_3=12; else t_3=M^2, t_M=3; q=2 if 3|M else 1"),
-        ("braid --n N (N>=2)", "d=N(N+1)/2, t_3=C(N+1,3), t_2=(N+1)N(N-1)(N-2)/8; q=1 if N in {2,3} else 0"),
-        ("pencil --d D (D>=2)", "t_D=1"),
-        ("near-pencil --d D (D>=3)", "t_{D-1}=1, t_2=D-1"),
-        ("generic --d D (D>=2)", "t_2=C(D,2)"),
-    ]
-    for name, desc in rows:
-        print(f"{name:28s} {desc}")
+    for name, row in CATALOG.items():
+        if row.flag:
+            name += f" --{row.flag} {row.flag.upper()} ({row.flag.upper()}>={row.minimum})"
+        print(f"{name:28s} {row.summary}")
     return 0
 
 
@@ -241,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariants", help="global invariants of a profile")
     p_inv.add_argument("--input", metavar="FILE", help="line-list file")
     p_inv.add_argument("--profile", action="store_true", help="profile from --d/--t flags")
-    p_inv.add_argument("--catalog", choices=CATALOG_NAMES, help="named profile")
+    p_inv.add_argument("--catalog", choices=CATALOG, help="named profile")
     p_inv.add_argument("--d", type=int)
     p_inv.add_argument("--t", action="append", metavar="R=COUNT")
     p_inv.add_argument("--m", type=int, help="parameter for ceva")

@@ -9,9 +9,10 @@ resolution graphs.  ``modular_beta`` gives the beta the resolution uses.
 
 Expansions with d >> r are mostly long runs of 2s.  ``hj_expand`` takes each
 run in one step: while n_i = 2 the remainders fall by a fixed step, so the
-run's terms and remainders are a repeated tuple and a ``range``.
-``hj_summary`` runs the same loop but keeps only the length lambda and the
-term sum, the two numbers the local invariants read, in O(log alpha) steps.
+run's length follows from one division and its terms are a repeated tuple.
+An ``HJExpansion`` holds only the terms.  ``hj_summary`` runs the same loop
+but keeps only the length lambda and the term sum, the two numbers the local
+invariants read, in O(log alpha) steps.
 """
 
 from __future__ import annotations
@@ -24,17 +25,11 @@ from .errors import BetaOutOfRange, NotCoprime
 
 @dataclass(frozen=True)
 class HJExpansion:
-    """A finished expansion together with its remainder sequence.
-
-    ``alphas`` is the auxiliary sequence alpha_0, ..., alpha_{lambda+1} with
-    alpha_0 = alpha, alpha_1 = beta, alpha_lambda = 1 and alpha_{lambda+1} = 0,
-    obeying alpha_{i-1} = n_i * alpha_i - alpha_{i+1}.
-    """
+    """The terms n_1, ..., n_lambda of the expansion of alpha/beta."""
 
     alpha: int
     beta: int
     terms: tuple[int, ...]
-    alphas: tuple[int, ...]
 
     @property
     def length(self) -> int:
@@ -62,28 +57,23 @@ def hj_expand(alpha: int, beta: int) -> HJExpansion:
     The pair (1, 0) is accepted and yields the empty expansion.
     Uses the remainder recurrence alpha_{i+1} = n_i alpha_i - alpha_{i-1}
     with n_i = ceil(alpha_{i-1} / alpha_i); the expansion is unique.  A run
-    of 2s is one step: at a remainder pair (a, b) with ceil(a/b) = 2, put
-    s = a - b; the next a // s - 1 terms are 2 and their remainders are
-    b - s, b - 2s, ..., a mod s, the last nonnegative one.
+    of 2s is one step, taken as in ``hj_summary``.
     """
     if alpha == 1 and beta == 0:
-        return HJExpansion(1, 0, (), (1, 0))
+        return HJExpansion(1, 0, ())
     _check_pair(alpha, beta)
-    alphas = [alpha, beta]
+    a, b = alpha, beta
     terms = []
-    while alphas[-1] > 0:
-        a, b = alphas[-2], alphas[-1]
+    while b > 0:
         n = -(-a // b)
         if n == 2:
-            # a run of 2s: the remainders fall by s = a - b down to a mod s
             s = a - b
-            run = range(b - s, -1, -s)
-            terms += (2,) * len(run)
-            alphas += run
+            terms += (2,) * (a // s - 1)
+            a, b = a % s + s, a % s
         else:
             terms.append(n)
-            alphas.append(n * b - a)
-    return HJExpansion(alpha, beta, tuple(terms), tuple(alphas))
+            a, b = b, n * b - a
+    return HJExpansion(alpha, beta, tuple(terms))
 
 
 def hj_summary(alpha: int, beta: int) -> tuple[int, int]:

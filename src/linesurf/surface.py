@@ -24,7 +24,6 @@ from .errors import (
     InternalCheckError,
     NegativeHodgeNumber,
     NoetherDivisibilityFailure,
-    UnbalancedProfile,
     ZeroSecondChern,
 )
 from .local import local_invariants
@@ -61,14 +60,8 @@ class HodgeDiamond:
         return 2 - 4 * self.q + 2 * self.pg + self.h11
 
 
-def _require_balanced(p: Profile) -> None:
-    if not p.balanced:
-        raise UnbalancedProfile("operation requires a balanced profile")
-
-
 def base_invariants(p: Profile) -> tuple[int, int, int]:
     """(K^2, chi, MY) of the singular compactification."""
-    _require_balanced(p)
     d = p.d
     k2_bar = d * (d - 4) ** 2
     chi_bar = d * (d * d - 4 * d + 6) - (d - 1) * sum(c * (r - 1) ** 2 for r, c in p.t)
@@ -88,7 +81,6 @@ def chern_numbers(p: Profile) -> tuple[int, int]:
 
 def my_tilde(p: Profile) -> int:
     """Miyaoka-Yau number of the resolution, as the sum of per-point terms."""
-    _require_balanced(p)
     return sum(c * local_invariants(r, p.d).e for r, c in p.t)
 
 
@@ -103,7 +95,6 @@ def global_invariants(p: Profile) -> GlobalInvariants:
 
 
 def verdict(p: Profile) -> Verdict:
-    _require_balanced(p)
     pencil = is_pencil(p)
     c1sq, _ = chern_numbers(p)
     my = my_tilde(p)
@@ -126,7 +117,6 @@ def verdict(p: Profile) -> Verdict:
 
 def hodge_diamond(p: Profile, q: int) -> HodgeDiamond:
     """Hodge numbers from (c1^2, c2, q) via Noether's formula."""
-    _require_balanced(p)
     if q < 0:
         raise NegativeHodgeNumber(f"irregularity q must be nonnegative, got {q}")
     c1sq, c2 = chern_numbers(p)

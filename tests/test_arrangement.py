@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from linesurf import (
     Arrangement,
     Line,
+    Profile,
     catalog_profile,
     hirzebruch_diagnostic,
     is_pencil,
@@ -18,9 +19,11 @@ from linesurf import (
     profile_of,
     validate_profile,
 )
+from linesurf.arrangement import CATALOG
 from linesurf.errors import (
     BadParameter,
     DuplicateLine,
+    LineSurfError,
     MalformedLine,
     MultiplicityOutOfRange,
     TooFewLines,
@@ -88,6 +91,15 @@ class TestParse:
     def test_too_few(self):
         with pytest.raises(TooFewLines):
             parse_arrangement("1 0 0\n")
+
+    @given(st.one_of(st.text(), st.text(alphabet="0123456789+-./eE# \t\n")))
+    def test_arbitrary_text(self, text):
+        # any text parses to an arrangement or fails with a library error
+        try:
+            arr = parse_arrangement(text)
+        except LineSurfError:
+            return
+        assert isinstance(arr, Arrangement) and arr.d >= 2
 
 
 class TestProfile:
@@ -173,12 +185,61 @@ def _fraction_profile(rows):
     return dict(Counter(len(lines) for lines in through.values()))
 
 
+def _is_valid(d, pairs):
+    """Reference check of a (d, ((r, t_r), ...)) profile: ranges, strictly
+    increasing r, positive counts and the pair-count identity."""
+    rs = [r for r, _ in pairs]
+    return (d >= 2 and rs == sorted(set(rs)) and all(2 <= r <= d and c > 0 for r, c in pairs)
+            and sum(c * comb(r, 2) for r, c in pairs) == comb(d, 2))
+
+
+@st.composite
+def raw_profiles(draw):
+    """A (d, {r: t_r}) pair near the valid ones: half the time t_2 takes up
+    the pairs left over, so balanced and unbalanced input both occur."""
+    d = draw(st.integers(min_value=1, max_value=8))
+    t = draw(st.dictionaries(st.integers(min_value=0, max_value=9),
+                             st.integers(min_value=-1, max_value=3), max_size=3))
+    if draw(st.booleans()):
+        t[2] = comb(d, 2) - sum(c * comb(r, 2) for r, c in t.items() if r != 2)
+    return d, t
+
+
 class TestValidateProfile:
     def test_balance_identity_enforced(self):
         with pytest.raises(UnbalancedProfile):
             validate_profile(4, {2: 5})
-        p = validate_profile(4, {2: 5}, allow_unbalanced=True)
-        assert not p.balanced
+
+    def test_direct_construction_is_checked(self):
+        with pytest.raises(MultiplicityOutOfRange):
+            Profile(4, ((3, 1), (2, 3)))  # balanced, but not sorted by r
+        with pytest.raises(MultiplicityOutOfRange):
+            Profile(4, ((2, 3), (2, 3)))  # balanced, r repeated
+        with pytest.raises(BadParameter):
+            Profile(1, ())
+        assert Profile(4, ((2, 3), (3, 1))) == validate_profile(4, {3: 1, 2: 3})
+
+    @given(raw_profiles())
+    def test_validate_accepts_exactly_the_valid(self, raw):
+        d, t = raw
+        pairs = tuple(sorted(t.items()))
+        try:
+            p = validate_profile(d, t)
+        except LineSurfError:
+            assert not _is_valid(d, pairs)
+            return
+        assert _is_valid(d, pairs) and p == Profile(d, pairs)
+
+    @given(raw_profiles(), st.booleans())
+    def test_direct_profile_is_valid(self, raw, reverse):
+        d, t = raw
+        pairs = tuple(sorted(t.items(), reverse=reverse))
+        try:
+            p = Profile(d, pairs)
+        except LineSurfError:
+            assert not _is_valid(d, pairs)
+            return
+        assert _is_valid(d, p.t)
 
     def test_range_checks(self):
         with pytest.raises(MultiplicityOutOfRange):
@@ -235,6 +296,13 @@ class TestCatalog:
             catalog_profile("hesse", 3)
         with pytest.raises(BadParameter):
             catalog_profile("near-pencil", 2)
+
+    @pytest.mark.parametrize("name", [name for name, row in CATALOG.items() if row.flag])
+    def test_parameter_minimum(self, name):
+        minimum = CATALOG[name].minimum
+        assert catalog_profile(name, minimum).name == f"{name}({minimum})"
+        with pytest.raises(BadParameter, match=f">= {minimum}"):
+            catalog_profile(name, minimum - 1)
 
 
 class TestHirzebruchDiagnostic:

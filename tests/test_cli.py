@@ -5,6 +5,7 @@ import json
 import pytest
 
 from linesurf import resolution
+from linesurf.arrangement import CATALOG
 from linesurf.cli import main
 from linesurf.errors import InternalCheckError
 
@@ -108,6 +109,14 @@ class TestInvariants:
         code, _, err = run(capsys, "invariants", "--catalog", name, flag, "5")
         assert code == 2 and flag in err
 
+    @pytest.mark.parametrize("name", [name for name, row in CATALOG.items() if row.flag])
+    def test_catalog_parameter_minimum(self, capsys, name):
+        flag, minimum = f"--{CATALOG[name].flag}", CATALOG[name].minimum
+        code, out, err = run(capsys, "invariants", "--catalog", name, flag, str(minimum))
+        assert code == 0 and f"catalog:{name}({minimum})" in out, err
+        code, _, err = run(capsys, "invariants", "--catalog", name, flag, str(minimum - 1))
+        assert code == 2 and "BadParameter" in err
+
     @pytest.mark.parametrize("argv, flag", [
         (["--profile", "--d", "3", "--t", "2=3", "--m", "4"], "--m"),
         (["--profile", "--d", "3", "--t", "2=3", "--n", "4"], "--n"),
@@ -182,5 +191,13 @@ class TestCatalogCommand:
     def test_lists_entries(self, capsys):
         code, out, _ = run(capsys, "catalog")
         assert code == 0
-        for name in ("hesse", "ceva", "braid", "pencil", "near-pencil", "generic"):
-            assert name in out
+        assert out == (
+            "hesse                        d=12, t_2=12, t_4=9, q=3\n"
+            "ceva --m M (M>=2)            d=3M; M=3: t_3=12; else t_3=M^2, t_M=3; "
+            "q=2 if 3|M else 1\n"
+            "braid --n N (N>=2)           d=N(N+1)/2, t_3=C(N+1,3), t_2=(N+1)N(N-1)(N-2)/8; "
+            "q=1 if N in {2,3} else 0\n"
+            "pencil --d D (D>=2)          t_D=1\n"
+            "near-pencil --d D (D>=3)     t_{D-1}=1, t_2=D-1\n"
+            "generic --d D (D>=2)         t_2=C(D,2)\n"
+        )

@@ -12,21 +12,21 @@ from linesurf.errors import BetaOutOfRange, NotCoprime
 
 
 def reference_expand(alpha, beta):
-    """(terms, alphas) of alpha/beta, one term per step of the remainder
-    recurrence; ``hj_expand`` takes a whole run of 2s in one step."""
-    alphas, terms = [alpha, beta], []
-    while alphas[-1] > 0:
-        a, b = alphas[-2], alphas[-1]
+    """The terms of alpha/beta, one term per step of the remainder recurrence
+    alpha_{i+1} = n_i alpha_i - alpha_{i-1}; ``hj_expand`` takes a whole run
+    of 2s in one step."""
+    a, b, terms = alpha, beta, []
+    while b > 0:
         n = -(-a // b)
         terms.append(n)
-        alphas.append(n * b - a)
-    return tuple(terms), tuple(alphas)
+        a, b = b, n * b - a
+    return tuple(terms)
 
 
 def assert_matches_reference(alpha, beta):
     """``hj_expand`` equals the reference, and ``hj_summary`` its length and sum."""
     exp = hj_expand(alpha, beta)
-    assert (exp.terms, exp.alphas) == reference_expand(alpha, beta), (alpha, beta)
+    assert exp.terms == reference_expand(alpha, beta), (alpha, beta)
     assert hj_summary(alpha, beta) == (len(exp.terms), sum(exp.terms)), (alpha, beta)
 
 
@@ -50,15 +50,8 @@ class TestExpand:
 
     def test_trivial_pair(self):
         exp = hj_expand(1, 0)
-        assert exp == HJExpansion(1, 0, (), (1, 0))
+        assert exp == HJExpansion(1, 0, ())
         assert exp.length == 0
-
-    def test_remainder_sequence(self):
-        exp = hj_expand(12, 7)
-        assert exp.alphas[0] == 12 and exp.alphas[1] == 7
-        assert exp.alphas[-2] == 1 and exp.alphas[-1] == 0
-        for i, n in enumerate(exp.terms):
-            assert exp.alphas[i] == n * exp.alphas[i + 1] - exp.alphas[i + 2]
 
     def test_rejects_bad_input(self):
         with pytest.raises(BetaOutOfRange):
@@ -92,12 +85,9 @@ class TestRunsOfTwos:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 1000, 99_999, 100_000])
     def test_one_run_and_one_term(self, d):
-        exp = hj_expand(d, d - 1)
-        assert exp.terms == (2,) * (d - 1)
-        assert exp.alphas == tuple(range(d, -1, -1))
+        assert hj_expand(d, d - 1).terms == (2,) * (d - 1)
         assert hj_summary(d, d - 1) == (d - 1, 2 * (d - 1))
-        exp = hj_expand(d, 1)
-        assert exp.terms == (d,) and exp.alphas == (d, 1, 0)
+        assert hj_expand(d, 1).terms == (d,)
         assert hj_summary(d, 1) == (1, d)
 
     @pytest.mark.parametrize("head", [(3,), (2, 7), (5, 2, 4)])

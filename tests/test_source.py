@@ -1,9 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def test_no_assert_statements():
@@ -16,3 +18,16 @@ def test_no_assert_statements():
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert list(SRC.rglob("*.py")), SRC
     assert not found, found
+
+
+def test_traced_layers_exist():
+    # the benchmark's span recorder looks up every function named in its
+    # LAYERS table with getattr, so a removed or renamed one breaks each
+    # traced run; the table is read as a literal, without importing it
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    layers, = [ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [getattr(target, "id", None) for target in node.targets] == ["LAYERS"]]
+    missing = [f"{layer}.{name}" for layer, names in layers.items() for name in names
+               if not callable(getattr(importlib.import_module(f"linesurf.{layer}"), name, None))]
+    assert layers and not missing, missing
