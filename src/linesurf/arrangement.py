@@ -123,8 +123,7 @@ class Profile:
         return tuple(r for r, _ in self.t)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """A named profile, with the irregularity q when a published value exists."""
 
     name: str
@@ -132,8 +131,7 @@ class CatalogEntry:
     q: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class HirzebruchDiagnostic:
+class HirzebruchDiagnostic(NamedTuple):
     """Result of the node/triple-point count inequality check."""
 
     applicable: bool

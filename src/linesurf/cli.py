@@ -130,15 +130,14 @@ def _build_report(profile: Profile, q: Optional[int], echo: dict) -> dict:
         "verdict": asdict(v),
         "hodge": None,
         "local": [
-            {"r": r, "t_r": c, **{k: getattr(local_invariants(r, profile.d), k)
-                                  for k in ("dci", "dcii", "dmy", "e")}}
+            {"r": r, "t_r": c, "dci": li.dci, "dcii": li.dcii, "dmy": li.dmy, "e": li.e}
             for r, c in profile.t
+            for li in (local_invariants(r, profile.d),)
         ],
         "version": __version__,
     }
     if q is not None:
-        hd = hodge_diamond(profile, q)
-        report["hodge"] = {"q": hd.q, "pg": hd.pg, "h11": hd.h11}
+        report["hodge"] = hodge_diamond(profile, q)._asdict()
     return report
 
 
@@ -189,13 +188,9 @@ def cmd_graph(args) -> int:
 
 
 def cmd_local(args) -> int:
-    inv = local_invariants(args.r, args.d)
     cc = canonical_coefficients(args.r, args.d)
-    print(_dump({
-        "r": args.r, "d": args.d,
-        "dci": inv.dci, "dcii": inv.dcii, "dmy": inv.dmy, "e": inv.e,
-        "shape": cc.shape, "coefficients": list(cc.values),
-    }))
+    print(_dump({**local_invariants(args.r, args.d)._asdict(),
+                 "shape": cc.shape, "coefficients": list(cc.values)}))
     return 0
 
 
@@ -204,7 +199,7 @@ def cmd_verify(args) -> int:
     mismatches = [rep for rep in reports if not rep.ok]
     if args.json:
         print(_dump({"pairs": len(reports), "mismatches": len(mismatches),
-                     "reports": [asdict(rep) for rep in reports]}))
+                     "reports": [rep._asdict() for rep in reports]}))
     elif mismatches:
         print("  r   d  coeffs  dci  dcii")
         for rep in mismatches:

@@ -10,21 +10,21 @@ resolution graphs.  ``modular_beta`` gives the beta the resolution uses.
 Expansions with d >> r are mostly long runs of 2s.  ``hj_expand`` takes each
 run in one step: while n_i = 2 the remainders fall by a fixed step, so the
 run's length follows from one division and its terms are a repeated tuple.
-An ``HJExpansion`` holds only the terms.  ``hj_summary`` runs the same loop
+An ``HJExpansion`` is a NamedTuple of alpha, beta and the terms.
+``hj_summary`` runs the same loop
 but keeps only the length lambda and the term sum, the two numbers the local
 invariants read, in O(log alpha) steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import BetaOutOfRange, NotCoprime
 
 
-@dataclass(frozen=True)
-class HJExpansion:
+class HJExpansion(NamedTuple):
     """The terms n_1, ..., n_lambda of the expansion of alpha/beta."""
 
     alpha: int

@@ -14,20 +14,22 @@ Three branches, mirroring the resolution shapes:
 
 The quadruple (DCI, DCII, DMY, E) records the changes in c_1^2, the Euler
 number, the Miyaoka-Yau number, and the per-point Miyaoka-Yau contribution
-E = DMY + (d-1)(r-1)(3-r).
+E = DMY + (d-1)(r-1)(3-r).  A report computes one per multiplicity, so
+``LocalInvariants`` and ``CanonicalCoefficients`` are NamedTuples, which cost
+a tuple to build where a frozen dataclass sets each field through
+``object.__setattr__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalCheckError
 from .hjcf import hj_expand, hj_summary
 from .resolution import BLOWN_DOWN_STAR, CHAIN, STAR, weight_data
 
 
-@dataclass(frozen=True)
-class CanonicalCoefficients:
+class CanonicalCoefficients(NamedTuple):
     """Exceptional-curve coefficients of the canonical divisor, one per depth.
 
     Star: (a_0, a_1, ..., a_lambda) with a_0 on the central curve.
@@ -41,8 +43,7 @@ class CanonicalCoefficients:
     values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LocalInvariants:
+class LocalInvariants(NamedTuple):
     r: int
     d: int
     dci: int

@@ -8,6 +8,9 @@ and blowing it down leaves r chains whose roots are pairwise adjacent, with
 the root weight dropped by one.  For r = 2 the germ is an A_{d-1} singularity
 and we emit its chain directly.
 
+``WeightData`` and ``ResolutionGraph`` are NamedTuples, built on every
+local-invariant and graph call.
+
 Vertex order is fixed everywhere: central first (when present), then arm 1
 root to tip, arm 2, and so on; only DOT names the nodes: ``c`` and
 ``a<arm>_<pos>``.  ``intersection_rows`` builds the sparse integer rows of the
@@ -19,11 +22,10 @@ in place: the definiteness test reads its pivot signs and the oracle solve in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations, compress, repeat
 from math import gcd
 from operator import index
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import BadMultiplicity, BadParameter, InternalCheckError, NotSymmetric, SingularMatrix
 from .hjcf import hj_expand, modular_beta
@@ -33,8 +35,7 @@ STAR = "star"
 BLOWN_DOWN_STAR = "blown_down_star"
 
 
-@dataclass(frozen=True)
-class WeightData:
+class WeightData(NamedTuple):
     """Weights and central-vertex data for the germ with parameters (r, d)."""
 
     r: int
@@ -48,8 +49,7 @@ class WeightData:
     genus0: int     # genus of the central curve
 
 
-@dataclass(frozen=True)
-class ResolutionGraph:
+class ResolutionGraph(NamedTuple):
     """Dual graph of the minimal resolution, one of three shapes.
 
     central is (genus, weight) for the star shape, None otherwise.

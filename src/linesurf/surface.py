@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arrangement import Profile, is_pencil
 from .errors import (
@@ -49,8 +49,7 @@ class Verdict:
     reason: str
 
 
-@dataclass(frozen=True)
-class HodgeDiamond:
+class HodgeDiamond(NamedTuple):
     q: int
     pg: int
     h11: int

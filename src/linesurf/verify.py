@@ -6,16 +6,17 @@ uses, where k_v = 2 g(v) - 2 + w(v) is the adjunction right-hand side; DCI is
 then the quadratic form a^T M a and DCII is the Euler characteristic of the
 exceptional configuration minus one.  The sweep solves each (r, d) once, on
 the graph's sparse rows (no dense matrix), and compares these against the
-closed forms in :mod:`linesurf.local`.  The graphs take their arms from
+closed forms in :mod:`linesurf.local`, one ``OracleReport`` NamedTuple per
+pair.  The graphs take their arms from
 ``hj_expand`` and the closed forms read ``hj_summary``, so the sweep also
 checks the two against each other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .errors import BadParameter, InternalCheckError
 from .local import canonical_coefficients, local_invariants
@@ -30,8 +31,7 @@ from .resolution import (
 )
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     r: int
     d: int
     coefficients_match: bool

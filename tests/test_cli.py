@@ -1,10 +1,14 @@
 """End-to-end CLI tests driven through main(argv)."""
 
+import contextlib
+import io
 import json
+from itertools import chain
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from linesurf import resolution
+from linesurf import cli, local_invariants, resolution
 from linesurf.arrangement import CATALOG
 from linesurf.cli import main
 from linesurf.errors import InternalCheckError
@@ -55,6 +59,18 @@ class TestInvariants:
         assert d == 30000 * 30001 // 2
         triple = next(entry for entry in report["local"] if entry["r"] == 3)
         assert (triple["dci"], triple["dcii"]) == (-d, d - 4)  # the d = 0 (mod r) row
+
+    def test_one_local_quadruple_per_multiplicity(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(r, d):
+            calls.append((r, d))
+            return local_invariants(r, d)
+
+        monkeypatch.setattr(cli, "local_invariants", counting)
+        code, out, _ = run(capsys, "invariants", "--catalog", "hesse", "--format", "json")
+        assert code == 0 and calls == [(2, 12), (4, 12)]
+        assert [entry["dci"] for entry in json.loads(out)["local"]] == [0, -48]
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "invariants", "--catalog", "braid", "--n", "5",
@@ -201,3 +217,81 @@ class TestCatalogCommand:
             "near-pencil --d D (D>=3)     t_{D-1}=1, t_2=D-1\n"
             "generic --d D (D>=2)         t_2=C(D,2)\n"
         )
+
+
+# --- arbitrary argv: every call ends in an exit code, never in a traceback ---
+
+FILES = {"good.txt": b"1 0 0\n0 1 0\n0 0 1\n1 1 1\n", "bad.txt": b"1 2\n",
+         "latin1.txt": b"1 0 0\n\xff 1 0\n0 0 1\n"}
+PATHS = [*FILES, "missing.txt", "folder", "out.dot"]
+SMALL = st.integers(-5, 60).map(str)
+# --r and --d are also prefixes of verify's --r-max and --d-max
+SWEEP = st.integers(-5, 12).map(str)
+FLAG_VALUES = {
+    "--input": st.sampled_from(PATHS), "--dot": st.sampled_from(PATHS),
+    "--catalog": st.sampled_from([*CATALOG, "nope"]),
+    "--format": st.sampled_from(["json", "table", "csv"]),
+    "--t": st.one_of(SMALL, st.builds("{}={}".format, SMALL, SMALL)),
+    "--d": SWEEP, "--r": SWEEP, "--r-max": SWEEP, "--d-max": SWEEP,
+    "--m": SMALL, "--n": SMALL, "--q": SMALL,
+}
+BARE_FLAGS = ["--profile", "--json", "--version", "--help"]
+# each subcommand's required flags, then its other flags
+SUBCOMMANDS = {
+    "invariants": ((), ("--input", "--profile", "--catalog", "--d", "--t", "--m", "--n", "--q",
+                        "--format")),
+    "graph": (("--r", "--d"), ("--dot",)), "local": (("--r", "--d"), ()),
+    "verify": (("--r-max", "--d-max"), ("--json",)), "catalog": ((), ()),
+}
+# no digits, so no token parses as a large integer, and no path separator or
+# NUL, so a token taken as a path names a file in the working directory
+JUNK = st.text(st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters="/\\\0"),
+               max_size=8)
+
+
+def _flag(flag):
+    """The flag and, unless it is bare, a value for it."""
+    if flag in BARE_FLAGS:
+        return st.just([flag])
+    return FLAG_VALUES[flag].map(lambda value: [flag, value])
+
+
+ANY_TOKEN = st.one_of(
+    st.sampled_from(sorted(FLAG_VALUES) + BARE_FLAGS).flatmap(_flag),
+    st.sampled_from([*SUBCOMMANDS, *FLAG_VALUES]).map(lambda word: [word]),
+    SMALL.map(lambda value: [value]),
+    JUNK.map(lambda text: [text]),
+)
+
+
+def _argv(command):
+    """The subcommand with its required flags, then mostly its own flags: one
+    token in sixteen is any other token, which argparse mostly refuses."""
+    required, optional = SUBCOMMANDS[command]
+    flags = required + optional
+    own = st.sampled_from(flags).flatmap(_flag) if flags else st.just([])
+    return st.builds(lambda head, rest: [command, *chain.from_iterable(head + rest)],
+                     st.tuples(*map(_flag, required)).map(list),
+                     st.lists(st.one_of(*[own] * 15, ANY_TOKEN), max_size=6))
+
+
+ARGVS = st.one_of(*[st.sampled_from(list(SUBCOMMANDS)).flatmap(_argv)] * 7,
+                  st.lists(ANY_TOKEN, max_size=6).map(lambda groups: list(chain.from_iterable(groups))))
+
+
+# each example rewrites the files it may read, so the shared directory is safe
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ARGVS)
+def test_arbitrary_argv_ends_in_an_exit_code(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, data in FILES.items():
+        (tmp_path / name).write_bytes(data)
+    (tmp_path / "folder").mkdir(exist_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: --help, --version or a usage error
+            assert exc.code in (0, 2), (argv, err.getvalue())
+            return
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())

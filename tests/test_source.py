@@ -31,3 +31,20 @@ def test_traced_layers_exist():
     missing = [f"{layer}.{name}" for layer, names in layers.items() for name in names
                if not callable(getattr(importlib.import_module(f"linesurf.{layer}"), name, None))]
     assert layers and not missing, missing
+
+
+def _decorator_name(node) -> str:
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_dataclasses_are_the_checked_or_vars_read_records():
+    # per-call records are NamedTuples: a frozen dataclass sets each field
+    # through object.__setattr__, several times the cost of a tuple.  Only
+    # records that validate themselves (Line, Arrangement, Profile) or whose
+    # vars() the benchmark digests (GlobalInvariants, Verdict) stay dataclasses
+    found = {node.name for path in SRC.rglob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+             if isinstance(node, ast.ClassDef)
+             and "dataclass" in map(_decorator_name, node.decorator_list)}
+    assert found == {"Line", "Arrangement", "Profile", "GlobalInvariants", "Verdict"}
