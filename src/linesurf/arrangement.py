@@ -19,7 +19,6 @@ summaries.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 from typing import Callable, NamedTuple, Optional
@@ -34,24 +33,25 @@ from .errors import (
     UnknownCatalogName,
     ZeroForm,
 )
+from .record import Record, set_field
 
 # Largest decimal exponent magnitude a token may carry: Fraction("1e<k>")
 # builds 10**k, so k is held to the default digit limit of int(str).
 MAX_EXPONENT = 4300
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(Record):
     """A projective line as its primitive integer triple: gcd(a, b, c) = 1 and
     the first nonzero coefficient positive.  ``Line.of`` scales any rational
     triple to this form."""
 
-    a: int
-    b: int
-    c: int
+    _fields = ("a", "b", "c")
 
-    def __post_init__(self):
-        if gcd(self.a, self.b, self.c) != 1 or (self.a or self.b or self.c) < 0:
+    def __init__(self, a: int, b: int, c: int):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        if gcd(a, b, c) != 1 or (a or b or c) < 0:
             raise BadParameter(f"{self} is not a primitive integer triple; use Line.of")
 
     @classmethod
@@ -67,17 +67,17 @@ class Line:
         return cls(*(v // g for v in ints))
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(Record):
     """An ordered tuple of pairwise distinct lines, at least two of them."""
 
-    lines: tuple[Line, ...]
+    _fields = ("lines",)
 
-    def __post_init__(self):
-        if len(self.lines) < 2:
-            raise TooFewLines(f"need at least 2 lines, got {len(self.lines)}")
+    def __init__(self, lines: tuple[Line, ...]):
+        set_field(self, "lines", lines)
+        if len(lines) < 2:
+            raise TooFewLines(f"need at least 2 lines, got {len(lines)}")
         seen: dict[Line, int] = {}
-        for i, line in enumerate(self.lines):
+        for i, line in enumerate(lines):
             if line in seen:
                 raise DuplicateLine(f"lines {seen[line] + 1} and {i + 1} coincide")
             seen[line] = i
@@ -87,8 +87,7 @@ class Arrangement:
         return len(self.lines)
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Record):
     """Line count d plus the multiplicity counts t_r, stored sorted by r.
 
     Construction checks d >= 2, each r in [2, d] and strictly increasing with
@@ -96,14 +95,15 @@ class Profile:
     d(d-1)/2, so every profile is balanced.
     """
 
-    d: int
-    t: tuple[tuple[int, int], ...]
+    _fields = ("d", "t")
 
-    def __post_init__(self):
-        d, last, total = self.d, 1, 0
+    def __init__(self, d: int, t: tuple[tuple[int, int], ...]):
+        set_field(self, "d", d)
+        set_field(self, "t", t)
+        last, total = 1, 0
         if d < 2:
             raise BadParameter(f"d must be >= 2, got {d}")
-        for r, count in self.t:
+        for r, count in t:
             if r < 2 or r > d:
                 raise MultiplicityOutOfRange(f"multiplicity {r} outside [2, {d}]")
             if r <= last:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -28,11 +28,15 @@ from .arrangement import (
 )
 from .errors import BadParameter, InternalCheckError, LineSurfError
 from .local import canonical_coefficients, local_invariants
-from .resolution import build_resolution_graph, to_dot
+from .resolution import build_resolution_graph, graph_size, to_dot
 from .surface import global_invariants, hodge_diamond, verdict
 from .verify import sweep_verify
 
 _SAFE_INT = 2 ** 53
+
+# `graph` and `local` build and print a resolution graph, so each refuses one
+# with more vertices plus edges than this; `invariants` reads only closed forms
+MAX_GRAPH_SIZE = 100_000
 
 
 def _jsonable(value):
@@ -70,6 +74,24 @@ def _parse_t_pairs(pairs) -> dict[int, int]:
     return t
 
 
+def _path(flag: str, name: str) -> Path:
+    """``Path(name)``, refused when it holds a NUL or a lone surrogate, which
+    no file name can; checked before a command prints anything."""
+    try:
+        if b"\0" not in os.fsencode(name):
+            return Path(name)
+    except UnicodeEncodeError:
+        pass
+    raise BadParameter(f"--{flag} {name!r} cannot name a file")
+
+
+def _check_graph_size(r: int, d: int) -> None:
+    size = graph_size(r, d)
+    if size > MAX_GRAPH_SIZE:
+        raise BadParameter(f"the resolution graph for (r, d)=({r}, {d}) has {size} vertices "
+                           f"and edges, more than the cap of {MAX_GRAPH_SIZE}")
+
+
 def _resolve_input(args) -> tuple[Profile, Optional[int], dict]:
     """Return (profile, q, input-echo) from exactly one input source."""
     sources = [s for s, given in (
@@ -90,7 +112,7 @@ def _resolve_input(args) -> tuple[Profile, Optional[int], dict]:
     q: Optional[int] = None
     if args.input is not None:
         try:
-            text = Path(args.input).read_text(encoding="utf-8")
+            text = _path("input", args.input).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise BadParameter(f"--input {args.input} is not UTF-8 text: {exc}") from None
         profile = profile_of(parse_arrangement(text))
@@ -127,7 +149,7 @@ def _build_report(profile: Profile, q: Optional[int], echo: dict) -> dict:
         "c2": gi.c2,
         "my_tilde": gi.my_tilde,
         "chern_ratio": gi.chern_ratio,
-        "verdict": asdict(v),
+        "verdict": dict(vars(v)),
         "hodge": None,
         "local": [
             {"r": r, "t_r": c, "dci": li.dci, "dcii": li.dcii, "dmy": li.dmy, "e": li.e}
@@ -174,6 +196,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    dot = None if args.dot is None else _path("dot", args.dot)
+    _check_graph_size(args.r, args.d)
     graph = build_resolution_graph(args.r, args.d)
     print(f"shape: {graph.shape}")
     print(f"vertices: {graph.vertex_count}")
@@ -181,13 +205,14 @@ def cmd_graph(args) -> int:
         print(f"central: genus={graph.central[0]} b={graph.central[1]}")
     print(f"lambda: {graph.lam}")
     print(f"arm weights: {list(graph.arms[0])}")
-    if args.dot is not None:
-        Path(args.dot).write_text(to_dot(graph))
+    if dot is not None:
+        dot.write_text(to_dot(graph))
         print(f"dot written to {args.dot}")
     return 0
 
 
 def cmd_local(args) -> int:
+    _check_graph_size(args.r, args.d)
     cc = canonical_coefficients(args.r, args.d)
     print(_dump({**local_invariants(args.r, args.d)._asdict(),
                  "shape": cc.shape, "coefficients": list(cc.values)}))

@@ -15,9 +15,9 @@ Three branches, mirroring the resolution shapes:
 The quadruple (DCI, DCII, DMY, E) records the changes in c_1^2, the Euler
 number, the Miyaoka-Yau number, and the per-point Miyaoka-Yau contribution
 E = DMY + (d-1)(r-1)(3-r).  A report computes one per multiplicity, so
-``LocalInvariants`` and ``CanonicalCoefficients`` are NamedTuples, which cost
-a tuple to build where a frozen dataclass sets each field through
-``object.__setattr__``.
+``LocalInvariants`` and ``CanonicalCoefficients`` are NamedTuples, each built
+as one tuple, where a ``linesurf.record.Record`` such as ``Profile`` sets each
+field through ``object.__setattr__``.
 """
 
 from __future__ import annotations

@@ -1,0 +1,43 @@
+"""The immutable-record base of ``Line``, ``Arrangement``, ``Profile``,
+``GlobalInvariants`` and ``Verdict``.
+
+A subclass names its fields in ``_fields`` and sets each once, in that order,
+in its own ``__init__`` through ``object.__setattr__``, then checks itself.
+Equality (same class only), hash and repr follow the field order, and so does
+``vars()``.  Assigning or deleting an attribute raises ``AttributeError``.
+Plain classes cost little at import, unlike ``dataclasses``, which loads
+``inspect`` and generates each record's methods when the record is defined.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+set_field = object.__setattr__
+
+
+class Record:
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # the field values, read in C: a Line is hashed for each line of an
+        # arrangement.  An attrgetter is no descriptor, so it stays unbound
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

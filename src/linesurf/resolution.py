@@ -28,7 +28,7 @@ from operator import index
 from typing import NamedTuple, Optional
 
 from .errors import BadMultiplicity, BadParameter, InternalCheckError, NotSymmetric, SingularMatrix
-from .hjcf import hj_expand, modular_beta
+from .hjcf import hj_expand, hj_summary, modular_beta
 
 CHAIN = "chain"
 STAR = "star"
@@ -138,6 +138,20 @@ def build_resolution_graph(r: int, d: int) -> ResolutionGraph:
         arm = (exp.terms[0] - 1,) + exp.terms[1:]
         return ResolutionGraph(r, d, BLOWN_DOWN_STAR, None, (arm,) * r)
     return ResolutionGraph(r, d, STAR, (wd.genus0, wd.b), (exp.terms,) * r)
+
+
+def graph_size(r: int, d: int) -> int:
+    """Vertices plus edges of ``build_resolution_graph(r, d)``, in O(log d)
+    steps without building it: d - 1 vertices for the chain and the
+    blown-down star, whose r arm roots also form a clique, and 1 + r*lambda
+    for the star, a tree."""
+    wd = weight_data(r, d)
+    if r == 2:
+        return 2 * d - 3
+    if d % r == 1:
+        return (d - 1) + (d - 1 - r) + r * (r - 1) // 2
+    vertices = 1 + r * hj_summary(wd.w1, wd.beta)[0]
+    return 2 * vertices - 1
 
 
 def intersection_matrix(graph: ResolutionGraph) -> list[list[int]]:

@@ -15,7 +15,6 @@ Hodge numbers from Noether's formula once the irregularity q is supplied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -27,26 +26,39 @@ from .errors import (
     ZeroSecondChern,
 )
 from .local import local_invariants
+from .record import Record, set_field
 
 
-@dataclass(frozen=True)
-class GlobalInvariants:
-    k2_bar: int
-    chi_bar: int
-    my_bar: int
-    c1sq: int
-    c2: int
-    my_tilde: int
-    chern_ratio: Optional[Fraction]  # None when c2 = 0
+class GlobalInvariants(Record):
+    """(K^2, chi, MY) of the singular model, (c1^2, c2, MY) of the minimal
+    resolution, and c1^2/c2, which is None when c2 = 0."""
+
+    _fields = ("k2_bar", "chi_bar", "my_bar", "c1sq", "c2", "my_tilde", "chern_ratio")
+
+    def __init__(self, k2_bar: int, chi_bar: int, my_bar: int, c1sq: int, c2: int,
+                 my_tilde: int, chern_ratio: Optional[Fraction]):
+        set_field(self, "k2_bar", k2_bar)
+        set_field(self, "chi_bar", chi_bar)
+        set_field(self, "my_bar", my_bar)
+        set_field(self, "c1sq", c1sq)
+        set_field(self, "c2", c2)
+        set_field(self, "my_tilde", my_tilde)
+        set_field(self, "chern_ratio", chern_ratio)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    pencil: bool
-    my_sign: int                 # sign of MY of the resolution
-    ball_quotient_possible: bool
-    general_type: str            # "Yes" | "No" | "Unknown"
-    reason: str
+class Verdict(Record):
+    """my_sign is the sign of MY of the resolution, general_type is "Yes",
+    "No" or "Unknown", and reason names the criterion that decided it."""
+
+    _fields = ("pencil", "my_sign", "ball_quotient_possible", "general_type", "reason")
+
+    def __init__(self, pencil: bool, my_sign: int, ball_quotient_possible: bool,
+                 general_type: str, reason: str):
+        set_field(self, "pencil", pencil)
+        set_field(self, "my_sign", my_sign)
+        set_field(self, "ball_quotient_possible", ball_quotient_possible)
+        set_field(self, "general_type", general_type)
+        set_field(self, "reason", reason)
 
 
 class HodgeDiamond(NamedTuple):

@@ -1,9 +1,15 @@
 """End-to-end CLI tests driven through main(argv)."""
 
+import ast
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -12,6 +18,8 @@ from linesurf import cli, local_invariants, resolution
 from linesurf.arrangement import CATALOG
 from linesurf.cli import main
 from linesurf.errors import InternalCheckError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -106,6 +114,12 @@ class TestInvariants:
         code, _, err = run(capsys, "invariants", "--input", "/nonexistent/zzz")
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["a\x00b", "\ud800"])
+    def test_path_that_names_no_file(self, capsys, name):
+        # a NUL or a lone surrogate cannot reach the OS as a file name
+        code, out, err = run(capsys, "invariants", "--input", name)
+        assert (code, out) == (2, "") and err.startswith("BadParameter: --input ")
+
     def test_non_utf8_file(self, capsys, tmp_path):
         path = tmp_path / "latin1.txt"
         path.write_bytes(b"1 0 0\n\xff\xfe 1 0\n0 0 1\n")
@@ -166,6 +180,46 @@ class TestGraph:
     def test_bad_parameters(self, capsys):
         code, _, err = run(capsys, "graph", "--r", "9", "--d", "4")
         assert code == 2 and "BadMultiplicity" in err
+
+    def test_dot_path_refused_before_any_output(self, capsys):
+        code, out, err = run(capsys, "graph", "--r", "3", "--d", "5", "--dot", "a\x00")
+        assert (code, out) == (2, "") and err.startswith("BadParameter: --dot ")
+
+
+class TestGraphSizeCap:
+    # a resolution graph of about d/3 vertices per arm, and a chain of about
+    # 10^12: refused from their size, computed in O(log d), before building
+    @pytest.mark.parametrize("argv", [["local", "--r", "2", "--d", "1000000000000"],
+                                      ["graph", "--r", "3", "--d", "4501500"],
+                                      ["graph", "--r", "3", "--d", "4501500", "--dot", "x.dot"]])
+    def test_huge_graph_refused_quickly(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "") and "BadParameter" in err and "cap" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["graph", "local"])
+    def test_cap_is_on_vertices_plus_edges(self, capsys, monkeypatch, command):
+        # (3, 5) is a star with 7 vertices and 6 edges
+        monkeypatch.setattr(cli, "MAX_GRAPH_SIZE", 13)
+        assert run(capsys, command, "--r", "3", "--d", "5")[0] == 0
+        monkeypatch.setattr(cli, "MAX_GRAPH_SIZE", 12)
+        code, out, err = run(capsys, command, "--r", "3", "--d", "5")
+        assert (code, out) == (2, "") and "has 13 vertices and edges" in err
+
+    def test_benchmark_calls_unchanged(self, capsys, tmp_path, monkeypatch):
+        # the benchmark's cli workload runs these graph and local calls
+        tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+        calls, = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(target, "id", None) for target in node.targets] == ["CLI_CALLS"]]
+        calls = [(argv, code) for _, argv, code in calls if argv[0] in ("graph", "local")]
+        monkeypatch.chdir(tmp_path)
+        assert len(calls) == 4
+        for argv, expected in calls:
+            assert run(capsys, *argv)[0] == expected, argv
 
 
 class TestLocal:
@@ -243,9 +297,10 @@ SUBCOMMANDS = {
     "graph": (("--r", "--d"), ("--dot",)), "local": (("--r", "--d"), ()),
     "verify": (("--r-max", "--d-max"), ("--json",)), "catalog": ((), ()),
 }
-# no digits, so no token parses as a large integer, and no path separator or
-# NUL, so a token taken as a path names a file in the working directory
-JUNK = st.text(st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters="/\\\0"),
+# no digits, so no token parses as a large integer (verify has no size cap,
+# and --r and --d abbreviate its bounds), and no path separator, so a token
+# taken as a path names a file in the working directory; a NUL names none
+JUNK = st.text(st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters="/\\"),
                max_size=8)
 
 
@@ -295,3 +350,25 @@ def test_arbitrary_argv_ends_in_an_exit_code(tmp_path, monkeypatch, argv):
             assert exc.code in (0, 2), (argv, err.getvalue())
             return
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
+
+
+# --- python -O keeps every check ---
+
+ENTRY = "import sys; from linesurf.cli import main; sys.exit(main())"
+
+
+def _cli_process(*argv, optimize=False):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable, *flags, "-c", ENTRY, *argv], env=env,
+                          capture_output=True)
+
+
+def test_checks_survive_python_O():
+    # the pair-count check lives in Profile.__init__, not in an assert
+    proc = _cli_process("invariants", "--profile", "--d", "6", "--t", "2=3", optimize=True)
+    assert proc.returncode == 2 and proc.stderr.startswith(b"UnbalancedProfile: ")
+    argv = ("invariants", "--catalog", "hesse", "--format", "json")
+    plain, optimized = _cli_process(*argv), _cli_process(*argv, optimize=True)
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout and b'"c1_sq": 336' in plain.stdout

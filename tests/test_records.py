@@ -1,7 +1,8 @@
-"""The record contract: per-call value records are immutable NamedTuples.
+"""The record contract: every result record is immutable.
 
-A record that checks itself, or whose ``vars()`` a caller reads, stays a
-frozen dataclass; ``tests/test_source.py`` pins which ones those are.
+Per-call value records are NamedTuples.  The five records that check
+themselves or whose ``vars()`` a caller reads are plain classes on
+``linesurf.record.Record``.
 """
 
 import json
@@ -9,6 +10,7 @@ import json
 import pytest
 
 from linesurf import (
+    Line,
     build_resolution_graph,
     canonical_coefficients,
     catalog_profile,
@@ -17,6 +19,7 @@ from linesurf import (
     hj_expand,
     hodge_diamond,
     local_invariants,
+    parse_arrangement,
     sweep_verify,
     validate_profile,
     verdict,
@@ -102,13 +105,65 @@ def test_properties():
     assert not reports[0]._replace(dci_match=False).ok
 
 
-def test_vars_order_of_the_dataclass_records():
-    # the benchmark digests list(vars(gi).values()) and list(vars(v).values())
-    profile = validate_profile(6, {2: 3, 3: 4})
-    assert list(vars(global_invariants(profile))) == [
-        "k2_bar", "chi_bar", "my_bar", "c1sq", "c2", "my_tilde", "chern_ratio"]
-    assert list(vars(verdict(profile))) == [
-        "pencil", "my_sign", "ball_quotient_possible", "general_type", "reason"]
+# the five plain-class records, with their field order; the benchmark
+# digests list(vars(gi).values()) and list(vars(v).values()), and the
+# invariants report prints dict(vars(v))
+PLAIN_RECORDS = {
+    "Line": (lambda: Line.of(1, "-1/2", 3), ("a", "b", "c")),
+    "Arrangement": (lambda: parse_arrangement("1 0 0\n0 1 0\n0 0 1\n"), ("lines",)),
+    "Profile": (lambda: validate_profile(6, {2: 3, 3: 4}), ("d", "t")),
+    "GlobalInvariants": (lambda: global_invariants(HESSE),
+                         ("k2_bar", "chi_bar", "my_bar", "c1sq", "c2", "my_tilde",
+                          "chern_ratio")),
+    "Verdict": (lambda: verdict(HESSE),
+                ("pencil", "my_sign", "ball_quotient_possible", "general_type", "reason")),
+}
+
+
+@pytest.fixture(params=sorted(PLAIN_RECORDS))
+def plain_record(request):
+    make, fields = PLAIN_RECORDS[request.param]
+    rec = make()
+    assert type(rec).__name__ == request.param
+    return rec, fields
+
+
+def test_plain_record_is_read_only(plain_record):
+    rec, fields = plain_record
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+
+
+def test_plain_record_rebuilt_copy_is_equal_with_the_same_hash(plain_record):
+    rec, fields = plain_record
+    values = [getattr(rec, name) for name in fields]
+    for copy in (type(rec)(*values), type(rec)(**dict(zip(fields, values)))):
+        assert copy is not rec and copy == rec and hash(copy) == hash(rec)
+    # equal only to its own class: not to a tuple or dict of the same values
+    assert rec != tuple(values) and rec != dict(zip(fields, values))
+
+
+def test_plain_record_repr_names_each_field(plain_record):
+    rec, fields = plain_record
+    assert repr(rec) == (f"{type(rec).__name__}("
+                         + ", ".join(f"{name}={getattr(rec, name)!r}" for name in fields) + ")")
+
+
+def test_plain_record_vars_keep_the_field_order(plain_record):
+    rec, fields = plain_record
+    assert vars(rec) == {name: getattr(rec, name) for name in fields}
+    assert list(vars(rec)) == list(fields)
+
+
+def test_plain_records_differ_by_value():
+    assert Line(1, 0, 0) != Line(0, 1, 0)
+    assert validate_profile(3, {2: 3}) != validate_profile(3, {3: 1})
+    assert len({Line(1, 0, 0), Line.of(2, 0, 0), Line(0, 0, 1)}) == 2
 
 
 def test_verify_json_prints_each_oracle_report(capsys):

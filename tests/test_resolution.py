@@ -20,6 +20,7 @@ from linesurf.resolution import (
     CHAIN,
     STAR,
     ResolutionGraph,
+    graph_size,
     intersection_rows,
 )
 
@@ -92,6 +93,20 @@ class TestShapes:
         roots = g.arm_root_indices()
         clique = {(i, j) for i in roots for j in roots if i < j}
         assert clique <= set(g.edge_list())
+
+    def test_graph_size_counts_vertices_and_edges(self):
+        for d in range(2, 61):
+            for r in range(2, d + 1):
+                g = build_resolution_graph(r, d)
+                assert graph_size(r, d) == g.vertex_count + len(g.edge_list()), (r, d)
+
+    def test_graph_size_without_building(self):
+        # a star whose arms expand 1500500/1500499 into 1500499 2s, and a
+        # chain of 10^12 - 1 vertices: both counted in O(log d) steps
+        assert graph_size(3, 4501500) == 2 * (1 + 3 * 1500499) - 1
+        assert graph_size(2, 10 ** 12) == 2 * 10 ** 12 - 3
+        with pytest.raises(BadMultiplicity):
+            graph_size(5, 4)
 
     @given(rd_pairs)
     def test_minimality_no_minus_one_curves(self, pair):

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,18 +36,12 @@ def test_traced_layers_exist():
     assert layers and not missing, missing
 
 
-def _decorator_name(node) -> str:
-    node = node.func if isinstance(node, ast.Call) else node
-    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
-
-
-def test_dataclasses_are_the_checked_or_vars_read_records():
-    # per-call records are NamedTuples: a frozen dataclass sets each field
-    # through object.__setattr__, several times the cost of a tuple.  Only
-    # records that validate themselves (Line, Arrangement, Profile) or whose
-    # vars() the benchmark digests (GlobalInvariants, Verdict) stay dataclasses
-    found = {node.name for path in SRC.rglob("*.py")
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-             if isinstance(node, ast.ClassDef)
-             and "dataclass" in map(_decorator_name, node.decorator_list)}
-    assert found == {"Line", "Arrangement", "Profile", "GlobalInvariants", "Verdict"}
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # each linesurf call is a fresh process: dataclasses costs about 12 ms at
+    # import, most of it for inspect, so the records are plain classes
+    code = ("import sys, linesurf.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
