@@ -199,6 +199,8 @@ def cmd_graph(args) -> int:
     dot = None if args.dot is None else _path("dot", args.dot)
     _check_graph_size(args.r, args.d)
     graph = build_resolution_graph(args.r, args.d)
+    if dot is not None:  # written first, so a failed write prints nothing
+        dot.write_text(to_dot(graph))
     print(f"shape: {graph.shape}")
     print(f"vertices: {graph.vertex_count}")
     if graph.central is not None:
@@ -206,7 +208,6 @@ def cmd_graph(args) -> int:
     print(f"lambda: {graph.lam}")
     print(f"arm weights: {list(graph.arms[0])}")
     if dot is not None:
-        dot.write_text(to_dot(graph))
         print(f"dot written to {args.dot}")
     return 0
 

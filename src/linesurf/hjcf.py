@@ -7,13 +7,12 @@ The expansion of a rational alpha/beta uses minus signs throughout:
 and is the combinatorial backbone of the cyclic-quotient arm chains in the
 resolution graphs.  ``modular_beta`` gives the beta the resolution uses.
 
-Expansions with d >> r are mostly long runs of 2s.  ``hj_expand`` takes each
-run in one step: while n_i = 2 the remainders fall by a fixed step, so the
-run's length follows from one division and its terms are a repeated tuple.
-An ``HJExpansion`` is a NamedTuple of alpha, beta and the terms.
-``hj_summary`` runs the same loop
-but keeps only the length lambda and the term sum, the two numbers the local
-invariants read, in O(log alpha) steps.
+``hj_expand`` takes one term per step of the remainder recurrence; graphs and
+canonical coefficients, its callers, build O(lambda) output anyway.
+``hj_summary`` keeps only lambda and the term sum, which the local invariants
+read, and is the one walk that takes a run of 2s in one step: O(log alpha)
+steps even when lambda is about alpha.  The oracle's graphs come from the
+first walk and the closed forms from the second, so each checks the other.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ def hj_expand(alpha: int, beta: int) -> HJExpansion:
 
     The pair (1, 0) is accepted and yields the empty expansion.
     Uses the remainder recurrence alpha_{i+1} = n_i alpha_i - alpha_{i-1}
-    with n_i = ceil(alpha_{i-1} / alpha_i); the expansion is unique.  A run
-    of 2s is one step, taken as in ``hj_summary``.
+    with n_i = ceil(alpha_{i-1} / alpha_i), one term per step; the expansion
+    is unique.  Only ``hj_summary`` takes a run of 2s in one step.
     """
     if alpha == 1 and beta == 0:
         return HJExpansion(1, 0, ())
@@ -66,13 +65,8 @@ def hj_expand(alpha: int, beta: int) -> HJExpansion:
     terms = []
     while b > 0:
         n = -(-a // b)
-        if n == 2:
-            s = a - b
-            terms += (2,) * (a // s - 1)
-            a, b = a % s + s, a % s
-        else:
-            terms.append(n)
-            a, b = b, n * b - a
+        terms.append(n)
+        a, b = b, n * b - a
     return HJExpansion(alpha, beta, tuple(terms))
 
 

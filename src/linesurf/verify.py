@@ -7,9 +7,9 @@ then the quadratic form a^T M a and DCII is the Euler characteristic of the
 exceptional configuration minus one.  The sweep solves each (r, d) once, on
 the graph's sparse rows (no dense matrix), and compares these against the
 closed forms in :mod:`linesurf.local`, one ``OracleReport`` NamedTuple per
-pair.  The graphs take their arms from
-``hj_expand`` and the closed forms read ``hj_summary``, so the sweep also
-checks the two against each other.
+pair.  The graphs take their arms from ``hj_expand``, one term per step, and
+the closed forms read ``hj_summary``, which takes each run of 2s in one step,
+so the sweep also checks these two independent walks against each other.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from linesurf import cli, local_invariants, resolution
+from linesurf import cli, hj_summary, local, local_invariants, resolution
 from linesurf.arrangement import CATALOG
 from linesurf.cli import main
 from linesurf.errors import InternalCheckError
@@ -185,6 +185,11 @@ class TestGraph:
         code, out, err = run(capsys, "graph", "--r", "3", "--d", "5", "--dot", "a\x00")
         assert (code, out) == (2, "") and err.startswith("BadParameter: --dot ")
 
+    def test_failed_dot_write_prints_nothing(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.dot"
+        code, out, err = run(capsys, "graph", "--r", "3", "--d", "5", "--dot", str(target))
+        assert (code, out) == (2, "") and err.startswith("FileNotFoundError: ")
+
 
 class TestGraphSizeCap:
     # a resolution graph of about d/3 vertices per arm, and a chain of about
@@ -222,6 +227,23 @@ class TestGraphSizeCap:
             assert run(capsys, *argv)[0] == expected, argv
 
 
+def test_log_d_paths_expand_nothing(capsys, monkeypatch):
+    # hj_expand takes one term per step, so an expansion here would cost
+    # O(d) steps; each of these paths reads only hj_summary
+    def refuse(alpha, beta):
+        pytest.fail(f"hj_expand({alpha}, {beta}) called")
+
+    monkeypatch.setattr(local, "hj_expand", refuse)
+    monkeypatch.setattr(resolution, "hj_expand", refuse)
+    assert local_invariants(3, 3001).dcii == 3000
+    assert resolution.graph_size(3, 4501500) > cli.MAX_GRAPH_SIZE
+    code, _, _ = run(capsys, "invariants", "--catalog", "braid", "--n", "30000",
+                     "--format", "json")
+    assert code == 0
+    code, out, err = run(capsys, "graph", "--r", "3", "--d", "4501500")
+    assert (code, out) == (2, "") and "cap" in err
+
+
 class TestLocal:
     def test_quadruple(self, capsys):
         code, out, _ = run(capsys, "local", "--r", "3", "--d", "5")
@@ -255,6 +277,22 @@ class TestVerify:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "verify", "--r-max", "1", "--d-max", "5")
         assert code == 2 and "BadParameter" in err
+
+    def test_fault_in_the_run_walk_is_caught(self, capsys, monkeypatch):
+        # the closed forms read a wrong hj_summary; the oracle's graphs take
+        # their arms from hj_expand, so every star pair mismatches
+        def wrong(alpha, beta):
+            lam, total = hj_summary(alpha, beta)
+            return lam + 1, total + 2
+
+        monkeypatch.setattr(local, "hj_summary", wrong)
+        stars = [(3, 3), (3, 5), (3, 6), (3, 8), (4, 4), (4, 6), (4, 7), (4, 8)]
+        code, out, _ = run(capsys, "verify", "--r-max", "4", "--d-max", "8")
+        assert code == 1
+        assert out.splitlines() == ["  r   d  coeffs  dci  dcii"] + [
+            f"{r:3d} {d:3d}  True   True False" for r, d in stars]
+        code, out, _ = run(capsys, "verify", "--r-max", "4", "--d-max", "8", "--json")
+        assert code == 1 and json.loads(out)["mismatches"] == len(stars)
 
 
 class TestCatalogCommand:

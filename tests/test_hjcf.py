@@ -13,8 +13,8 @@ from linesurf.errors import BetaOutOfRange, NotCoprime
 
 def reference_expand(alpha, beta):
     """The terms of alpha/beta, one term per step of the remainder recurrence
-    alpha_{i+1} = n_i alpha_i - alpha_{i-1}; ``hj_expand`` takes a whole run
-    of 2s in one step."""
+    alpha_{i+1} = n_i alpha_i - alpha_{i-1}: the loop ``hj_expand`` runs,
+    kept here so that a fault in it cannot reach the reference."""
     a, b, terms = alpha, beta, []
     while b > 0:
         n = -(-a // b)

@@ -104,7 +104,7 @@ class TestLocalInvariants:
 
     def test_tail_star_dci(self):
         # DCI of a star from its closed form, with the expansion taken one
-        # term per step instead of by runs of 2s
+        # term per step as in hj_expand, not by the runs of 2s of hj_summary
         for r in range(3, 7):
             for d in range(2800, 3201):
                 if d % r == 1:
