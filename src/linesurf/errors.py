@@ -67,15 +67,12 @@ class NotSymmetric(LineSurfError):
 
 
 class SingularMatrix(LineSurfError):
-    """The linear system has no unique solution (cannot happen for
-    negative definite intersection matrices; indicates an internal bug)."""
+    """Elimination met a zero pivot: the matrix is singular, or it needs a row
+    exchange that the elimination does not make.  A definite matrix, such as
+    an intersection matrix, never has one."""
 
 
 # --- Hodge errors ---
-
-class NoetherDivisibilityFailure(LineSurfError):
-    """12 does not divide c1^2 + c2 + 12(q - 1)."""
-
 
 class NegativeHodgeNumber(LineSurfError):
     """The (profile, q) pair yields a negative Hodge number."""

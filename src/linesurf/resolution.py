@@ -209,8 +209,8 @@ def eliminate(matrix, rhs) -> tuple[list[dict[int, int]], list[int]]:
     triangular, and the rhs; rows[k][k] has the sign of the k-th pivot.
     Intersection matrices lose arm tips first and get no fill-in.  A matrix
     that is not square and symmetric raises NotSymmetric, a non-integer entry
-    or a right-hand side of another length BadParameter, a zero pivot
-    SingularMatrix.
+    or a right-hand side of another length BadParameter, and a zero pivot,
+    from a singular matrix or one that needs a row exchange, SingularMatrix.
     """
     n = len(matrix)
     try:

@@ -9,8 +9,9 @@ Everything aggregates the per-singularity quadruples over the profile:
     MY   = 3 c2 - c1^2 = sum t_r E_{r,d}
 
 plus the sign trichotomy (pencil / near-pencil / the rest), the general-type
-criteria (c1^2 > 9, or d >= 7 with only nodes and triple points), and the
-Hodge numbers from Noether's formula once the irregularity q is supplied.
+criterion c1^2 > 9 (it holds for every d >= 7 with only nodes and triple
+points, see ``verdict``), and the Hodge numbers from Noether's formula once q
+is supplied.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .arrangement import Profile, is_pencil
-from .errors import (
-    InternalCheckError,
-    NegativeHodgeNumber,
-    NoetherDivisibilityFailure,
-    ZeroSecondChern,
-)
+from .errors import InternalCheckError, NegativeHodgeNumber, ZeroSecondChern
 from .local import local_invariants
 from .record import Record, set_field
 
@@ -106,6 +102,14 @@ def global_invariants(p: Profile) -> GlobalInvariants:
 
 
 def verdict(p: Profile) -> Verdict:
+    """Sign of MY, and general type when c1^2 > 9.
+
+    That criterion covers the paper's "d >= 7, only nodes and triple points":
+    DCI_{2,d} = 0 and DCI_{3,d} = -(d - d mod 3).  For d = 1 (mod 3) it is the
+    blown-down star's -(d-1); for d = 0, alpha/beta is a run of 2s and b = 3,
+    so -d; for d = 3k+2, lambda = k+1, the term sum is 2k+3 and b = 2, so
+    -(d-2).  With t_3 <= d(d-1)/6, c1^2 >= d[(d-4)^2 - d(d-1)/6] >= 14.
+    """
     pencil = is_pencil(p)
     c1sq, _ = chern_numbers(p)
     my = my_tilde(p)
@@ -115,8 +119,6 @@ def verdict(p: Profile) -> Verdict:
         general, reason = "No", "d3-pencil-has-c2-zero"
     elif c1sq > 9:
         general, reason = "Yes", "c1sq-exceeds-9"
-    elif p.d >= 7 and set(p.multiplicities) <= {2, 3}:
-        general, reason = "Yes", "only-nodes-and-triples"
     else:
         general, reason = "Unknown", "beyond-known-criteria"
 
@@ -131,10 +133,11 @@ def hodge_diamond(p: Profile, q: int) -> HodgeDiamond:
     if q < 0:
         raise NegativeHodgeNumber(f"irregularity q must be nonnegative, got {q}")
     c1sq, c2 = chern_numbers(p)
-    noether = c1sq + c2 + 12 * (q - 1)
-    if noether % 12 != 0:
-        raise NoetherDivisibilityFailure(
-            f"12 does not divide c1^2 + c2 + 12(q-1) = {noether}")
+    # with t_2 eliminated, c1^2 + c2 is affine in the t_r: the generic
+    # arrangement plus t_r times (one r-fold point, else general, minus
+    # generic), all real surfaces obeying Noether, so 12 | c1^2 + c2 always
+    if (c1sq + c2) % 12 != 0:
+        raise InternalCheckError(f"12 does not divide c1^2 + c2 = {c1sq + c2} for {p}")
     pg = (c1sq + c2) // 12 - (1 - q)
     h11 = (5 * c2 - c1sq) // 6 + 2 * q
     if pg < 0 or h11 < 0:
@@ -154,16 +157,13 @@ def chern_ratio_analysis(p: Profile) -> dict:
     ratio = Fraction(c1sq, c2)
     result: dict = {"ratio": ratio, "nodes_triples_form": None}
     if set(p.multiplicities) <= {2, 3}:
+        # DCI_{3,d} = -(d - d mod 3) (see ``verdict``), so before the
+        # division by d, denom = c2 and 2 numer = 3 c1^2 - c2
         d, t3 = p.d, p.t_r(3)
+        numer = d * (d - 3) * (d - 7)
+        denom = d * (d * d - 4 * d + 6) - 3 * (d - d % 3) * t3
         if d % 3 == 0:
-            numer = (d - 3) * (d - 7)
-            denom = d * d - 4 * d + 6 - 3 * t3
-        elif d % 3 == 1:
-            numer = d * (d - 3) * (d - 7)
-            denom = d * (d * d - 4 * d + 6) - 3 * (d - 1) * t3
-        else:
-            numer = d * (d - 3) * (d - 7)
-            denom = d * (d * d - 4 * d + 6) - 3 * (d - 2) * t3
+            numer, denom = numer // d, denom // d
         if ratio != Fraction(1, 3) * (1 + 2 * Fraction(numer, denom)):
             raise InternalCheckError(f"nodes-and-triples form disagrees for {p}")
         result["nodes_triples_form"] = {"numer": numer, "denom": denom}

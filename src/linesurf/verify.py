@@ -49,7 +49,8 @@ def solve_exact(matrix, rhs) -> list[int | Fraction]:
     """Exact solve of a symmetric integer system M x = rhs, given as dense rows
     or sparse row dicts: forward substitution through the lower-triangular
     rows of ``eliminate``, which refuses a matrix that is not symmetric.  Each
-    component is an ``int`` when integral and a ``Fraction`` otherwise."""
+    component is an ``int`` when integral and a ``Fraction`` otherwise.  A zero
+    pivot raises SingularMatrix even if a row exchange gives a unique solution."""
     rows, b = eliminate(matrix, rhs)
     x: list = []
     for i, row in enumerate(rows):

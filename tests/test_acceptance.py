@@ -177,6 +177,23 @@ def test_criterion_7_structural_identities():
                 assert local_invariants(r, d).e > -2 * r * (r - 1), (r, d)
         for d in range(4, 201):
             assert local_invariants(3, d).e >= 4 * (d - 3), d
+        # 12 | c1^2 + c2 for every balanced profile with d <= 400: with t_2
+        # eliminated, c1^2 + c2 is the generic value plus, for each r >= 3,
+        # t_r times the change that one r-fold point makes in place of C(r, 2)
+        # nodes; chi loses (d-1)(r-1)^2 and gets (d-1) C(r, 2) back
+        for d in range(2, 401):
+            pairs = comb(d, 2)
+            generic = sum(chern_numbers(validate_profile(d, {2: pairs})))
+            assert generic % 12 == 0, d
+            node = local_invariants(2, d)
+            for r in range(3, d + 1):
+                inv = local_invariants(r, d)
+                change = (inv.dci + inv.dcii - (d - 1) * (r - 1) ** 2
+                          - comb(r, 2) * (node.dci + node.dcii - (d - 1)))
+                assert change % 12 == 0, (d, r)
+                if d <= 40:
+                    t = {k: c for k, c in ((2, pairs - comb(r, 2)), (r, 1)) if c}
+                    assert change == sum(chern_numbers(validate_profile(d, t))) - generic
         entries = ([catalog_profile("hesse")]
                    + [catalog_profile("ceva", m) for m in range(2, 13)]
                    + [catalog_profile("braid", n) for n in range(2, 11)])

@@ -1,0 +1,49 @@
+"""Smoke tests of the scripts: each runs as its own process on the source tree."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from math import comb
+from pathlib import Path
+
+import pytest
+
+from linesurf import chern_ratio_analysis, local_invariants, validate_profile
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    header, *rows = done.stdout.splitlines()
+    return header.split(), [row.split() for row in rows]
+
+
+@pytest.mark.parametrize("d", [12, 13])
+def test_ratio_scan(d):
+    header, rows = run_script("ratio_scan.py", "--d", str(d))
+    assert header == ["t_3", "t_2", "ratio", "numer", "denom"]
+    pairs = comb(d, 2)
+    assert [int(row[0]) for row in rows] == list(range(pairs // 3 + 1))
+    for t3, t2, ratio, numer, denom in rows:
+        assert int(t2) == pairs - 3 * int(t3)
+        t = {r: c for r, c in ((2, int(t2)), (3, int(t3))) if c}
+        out = chern_ratio_analysis(validate_profile(d, t))
+        form = out["nodes_triples_form"]
+        assert (Fraction(ratio), int(numer), int(denom)) == (
+            out["ratio"], form["numer"], form["denom"]), (d, t3)
+
+
+def test_local_table_residue():
+    header, rows = run_script("local_table.py", "--r-max", "4", "--d-max", "10",
+                              "--residue", "1")
+    assert header == ["r", "d", "DCI", "DCII", "DMY", "E"]
+    expected = [(r, d) for r in range(2, 5) for d in range(r, 11) if d % r == 1 % r]
+    assert [(int(row[0]), int(row[1])) for row in rows] == expected
+    for row in rows:
+        r, d, *quadruple = map(int, row)
+        assert tuple(quadruple) == local_invariants(r, d)[2:], (r, d)

@@ -1,6 +1,7 @@
 """Global invariants, verdicts, Hodge numbers, and ratio decomposition tests."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from linesurf import (
     chern_ratio_analysis,
     global_invariants,
     hodge_diamond,
+    local_invariants,
     my_tilde,
     validate_profile,
     verdict,
@@ -103,9 +105,25 @@ class TestVerdict:
         assert verdict(small).general_type == "Unknown"
 
     def test_nodes_and_triples_always_general_type(self):
-        for t3 in range(0, 8):
-            t = {r: c for r, c in ((2, 21 - 3 * t3), (3, t3)) if c}
-            assert verdict(validate_profile(7, t)).general_type == "Yes"
+        # the paper's criterion for d >= 7 falls under c1^2 > 9: with
+        # t_3 <= d(d-1)/6, c1^2 >= d[(d-4)^2 - d(d-1)/6] >= 14
+        count = 0
+        for d in range(7, 61):
+            pairs = comb(d, 2)
+            for t3 in range(pairs // 3 + 1):
+                t = {r: c for r, c in ((2, pairs - 3 * t3), (3, t3)) if c}
+                p = validate_profile(d, t)
+                v = verdict(p)
+                assert (v.general_type, v.reason) == ("Yes", "c1sq-exceeds-9"), (d, t3)
+                c1sq, _ = chern_numbers(p)
+                assert 6 * c1sq >= d * (6 * (d - 4) ** 2 - d * (d - 1)) >= 6 * 14, (d, t3)
+                count += 1
+        assert count == 12033
+
+    def test_triple_point_dci_closed_form(self):
+        # DCI_{3,d} = -(d - d mod 3): see the verdict docstring
+        for d in [*range(3, 3001), 10 ** 40, 10 ** 40 + 1, 10 ** 40 + 2]:
+            assert local_invariants(3, d).dci == -(d - d % 3), d
 
     def test_ball_quotient_never_possible(self):
         for name, param in (("hesse", None), ("pencil", 3), ("pencil", 8),

@@ -43,6 +43,12 @@ class TestSolveExact:
             with pytest.raises(SingularMatrix):
                 solve_exact(matrix, rhs)
 
+    @pytest.mark.xfail(strict=True, raises=SingularMatrix,
+                       reason="eliminate makes no row exchanges, so a zero pivot stops it")
+    def test_zero_pivot_with_unique_solution(self):
+        # y = 1 and x = 1: nonsingular, but the first pivot, the last diagonal entry, is 0
+        assert solve_exact([[0, 1], [1, 0]], [1, 1]) == [1, 1]
+
     @pytest.mark.parametrize("matrix", [[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[1, 0], [0]]])
     def test_rejects_asymmetric(self, matrix):
         with pytest.raises(NotSymmetric):
