@@ -7,8 +7,8 @@ quadratic form) and compares against the closed forms.  The definiteness
 sweep times check_negative_definite(intersection_matrix(g)) over the triangle
 2 <= r <= d <= 60, split by shape.  The defaults give both ROADMAP reference
 points: sweep_verify(10, 60) and definiteness over d <= 60.  The definiteness
-triangle keeps its bound of 60 because its dense matrices grow as the square
-of the vertex count (9901 vertices at (100, 199)).
+triangle stays at d <= 60, whatever --d-max is, so that every run times the
+same ROADMAP reference point.
 
 Example:
     python3 scripts/oracle_sweep.py --r-max 10 --d-max 60

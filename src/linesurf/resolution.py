@@ -13,16 +13,17 @@ local-invariant and graph call.
 
 Vertex order is fixed everywhere: central first (when present), then arm 1
 root to tip, arm 2, and so on; only DOT names the nodes: ``c`` and
-``a<arm>_<pos>``.  ``intersection_rows`` builds the sparse integer rows of the
-intersection matrix from the weights and edges in O(vertices + edges).
-``eliminate`` is the package's one exact elimination, on sparse rows updated
+``a<arm>_<pos>``.  A matrix has one form everywhere: a list of sparse
+integer rows {column: nonzero entry}.  ``intersection_matrix`` builds these
+rows from the weights and edges in O(vertices + edges), and ``eliminate``,
+the package's one exact elimination, takes only such rows and updates a copy
 in place: the definiteness test reads its pivot signs and the oracle solve in
 :mod:`linesurf.verify` its rows.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, repeat
 from math import gcd
 from operator import index
 from typing import NamedTuple, Optional
@@ -154,19 +155,9 @@ def graph_size(r: int, d: int) -> int:
     return 2 * vertices - 1
 
 
-def intersection_matrix(graph: ResolutionGraph) -> list[list[int]]:
-    """Symmetric matrix: diagonal -weight, 1 on adjacent vertex pairs."""
-    n = graph.vertex_count
-    m = [[0] * n for _ in range(n)]
-    for i, weight in enumerate(graph.weights()):
-        m[i][i] = -weight
-    for i, j in graph.edge_list():
-        m[i][j] = m[j][i] = 1
-    return m
-
-
-def intersection_rows(graph: ResolutionGraph) -> list[dict[int, int]]:
-    """The rows of ``intersection_matrix`` as sparse dicts {column: entry}."""
+def intersection_matrix(graph: ResolutionGraph) -> list[dict[int, int]]:
+    """Symmetric sparse rows {column: entry}: diagonal -weight, 1 on adjacent
+    vertex pairs, no stored zeros."""
     rows = [{i: -weight} for i, weight in enumerate(graph.weights())]
     for i, j in graph.edge_list():
         rows[i][j] = rows[j][i] = 1
@@ -174,43 +165,40 @@ def intersection_rows(graph: ResolutionGraph) -> list[dict[int, int]]:
 
 
 def _sparse_rows(matrix) -> list[dict[int, int]]:
-    """Copy a square matrix of dense rows, or of dicts {column: entry}, into
-    sparse rows {column: nonzero entry}.  Every entry is checked in C-level
-    passes, zeros included: a non-integer raises TypeError."""
+    """Copy a square matrix of row dicts {column: entry} into sparse rows
+    {column: nonzero entry}.  Every row, column and entry is checked in
+    C-level passes, zeros included: a row that is not a dict, such as a dense
+    list, raises BadParameter, and a non-int column or entry TypeError."""
     n = len(matrix)
-    is_dict = set(map(isinstance, matrix, repeat(dict)))
-    if True in is_dict:
-        if False in is_dict:
-            raise BadParameter("matrix rows must be all dense or all dicts")
-        cols = list(chain.from_iterable(matrix))
-        entries = list(chain.from_iterable(map(dict.values, matrix)))
-        if not set(map(type, cols + entries)) <= {int}:
-            raise TypeError("sparse rows need int columns and entries")
-        if cols and (min(cols) < 0 or max(cols) >= n):
-            raise NotSymmetric("matrix is not square")
-        if 0 in entries:
-            return [{j: v for j, v in row.items() if v} for row in matrix]
-        # no stored zeros, as in intersection_rows: a plain copy, about 5% of an oracle sweep
-        return list(map(dict, matrix))
-    if set(map(len, matrix)) - {n}:
+    if not all(map(isinstance, matrix, repeat(dict))):
+        raise BadParameter("matrix rows must be dicts {column: entry}")
+    cols = list(chain.from_iterable(matrix))
+    entries = list(chain.from_iterable(map(dict.values, matrix)))
+    if not set(map(type, cols + entries)) <= {int}:
+        raise TypeError("sparse rows need int columns and entries")
+    if cols and (min(cols) < 0 or max(cols) >= n):
         raise NotSymmetric("matrix is not square")
-    index(sum(map(sum, matrix)))  # a non-integer entry, even a zero-like one, stays in the sum
-    return [{j: index(row[j]) for j in compress(range(n), row)} for row in matrix]
+    if 0 in entries:
+        return [{j: v for j, v in row.items() if v} for row in matrix]
+    # no stored zeros, as in intersection_matrix: a plain copy, about 5% of an oracle sweep
+    return list(map(dict, matrix))
 
 
 def eliminate(matrix, rhs) -> tuple[list[dict[int, int]], list[int]]:
     """Integer elimination of the symmetric system M x = rhs, highest index first.
 
-    ``matrix`` (dense rows or row dicts) is copied into sparse rows, which are
+    ``matrix``, a list of row dicts {column: entry} such as
+    ``intersection_matrix`` returns, is copied into sparse rows, which are
     then updated in place.  Pivot p = a_kk turns each row i < k into |p| row_i
     - sign(p) a_ik row_k, then divides it and rhs_i by their gcd, so every row
     stays a positive multiple of its rational counterpart; a row is rebuilt
     only when an entry cancels.  Returns the sparse rows, now lower
     triangular, and the rhs; rows[k][k] has the sign of the k-th pivot.
     Intersection matrices lose arm tips first and get no fill-in.  A matrix
-    that is not square and symmetric raises NotSymmetric, a non-integer entry
-    or a right-hand side of another length BadParameter, and a zero pivot,
-    from a singular matrix or one that needs a row exchange, SingularMatrix.
+    that is not square and symmetric raises NotSymmetric, a row that is not a
+    dict, a non-integer entry or a right-hand side of another length
+    BadParameter, and a zero pivot, from a singular matrix or one that needs
+    a row exchange, SingularMatrix.
     """
     n = len(matrix)
     try:
@@ -254,9 +242,10 @@ def eliminate(matrix, rhs) -> tuple[list[dict[int, int]], list[int]]:
 def check_negative_definite(m) -> bool:
     """Exact Sylvester test: (-1)^k det M_k > 0 for all leading minors M_k.
 
-    True iff every pivot of ``eliminate`` is negative: its pivots are ratios of
-    consecutive leading minors of the index-reversed matrix, a symmetric
-    permutation of M with the same definiteness.
+    ``m`` is a list of row dicts, as ``eliminate`` takes.  True iff every
+    pivot of ``eliminate`` is negative: its pivots are ratios of consecutive
+    leading minors of the index-reversed matrix, a symmetric permutation of M
+    with the same definiteness.
     """
     try:
         rows, _ = eliminate(m, [0] * len(m))

@@ -5,7 +5,7 @@ solving M a = k exactly, through the elimination the definiteness test also
 uses, where k_v = 2 g(v) - 2 + w(v) is the adjunction right-hand side; DCI is
 then the quadratic form a^T M a and DCII is the Euler characteristic of the
 exceptional configuration minus one.  The sweep solves each (r, d) once, on
-the graph's sparse rows (no dense matrix), and compares these against the
+the sparse rows of ``intersection_matrix``, and compares these against the
 closed forms in :mod:`linesurf.local`, one ``OracleReport`` NamedTuple per
 pair.  The graphs take their arms from ``hj_expand``, one term per step, and
 the closed forms read ``hj_summary``, which takes each run of 2s in one step,
@@ -27,7 +27,7 @@ from .resolution import (
     ResolutionGraph,
     build_resolution_graph,
     eliminate,
-    intersection_rows,
+    intersection_matrix,
 )
 
 
@@ -46,9 +46,9 @@ class OracleReport(NamedTuple):
 
 
 def solve_exact(matrix, rhs) -> list[int | Fraction]:
-    """Exact solve of a symmetric integer system M x = rhs, given as dense rows
-    or sparse row dicts: forward substitution through the lower-triangular
-    rows of ``eliminate``, which refuses a matrix that is not symmetric.  Each
+    """Exact solve of a symmetric integer system M x = rhs, given as row dicts
+    {column: entry}: forward substitution through the lower-triangular rows
+    of ``eliminate``, which refuses a matrix that is not symmetric.  Each
     component is an ``int`` when integral and a ``Fraction`` otherwise.  A zero
     pivot raises SingularMatrix even if a row exchange gives a unique solution."""
     rows, b = eliminate(matrix, rhs)
@@ -70,7 +70,7 @@ def adjunction_rhs(graph: ResolutionGraph) -> list[int]:
 
 def coefficients_from_matrix(graph: ResolutionGraph) -> tuple[int, ...]:
     """Solve M a = k on the graph's rows; return the (checked integral) coefficients."""
-    solution = solve_exact(intersection_rows(graph), adjunction_rhs(graph))
+    solution = solve_exact(intersection_matrix(graph), adjunction_rhs(graph))
     if not set(map(type, solution)) <= {int}:
         raise InternalCheckError(f"non-integral coefficients {solution} for (r, d)="
                                  f"({graph.r}, {graph.d})")

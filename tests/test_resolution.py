@@ -21,7 +21,6 @@ from linesurf.resolution import (
     STAR,
     ResolutionGraph,
     graph_size,
-    intersection_rows,
 )
 
 rd_pairs = st.integers(min_value=2, max_value=40).flatmap(
@@ -127,13 +126,13 @@ class TestShapes:
 class TestIntersectionMatrix:
     def test_a4_chain(self):
         m = intersection_matrix(build_resolution_graph(2, 5))
-        assert m == [[-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1], [0, 0, 1, -2]]
+        assert m == [{0: -2, 1: 1}, {0: 1, 1: -2, 2: 1}, {1: 1, 2: -2, 3: 1}, {2: 1, 3: -2}]
 
     def test_star_layout(self):
         m = intersection_matrix(build_resolution_graph(3, 5))
         assert m[0][0] == -2                      # central, weight b = 2
         assert m[0][1] == m[0][3] == m[0][5] == 1  # arm roots
-        assert m[1][2] == 1 and m[1][3] == 0       # arms do not touch
+        assert m[1][2] == 1 and 3 not in m[1]     # arms do not touch
 
     def test_negative_definite_sweep(self):
         for d in range(2, 61):
@@ -144,35 +143,35 @@ class TestIntersectionMatrix:
                     assert star_criterion(r, d), (r, d)
 
     def test_rejects_non_definite(self):
-        assert not check_negative_definite([[0]])
-        assert not check_negative_definite([[1]])
-        assert not check_negative_definite([[-1, 2], [2, -1]])
-        assert not check_negative_definite([[-2, 1, 1], [1, 0, 0], [1, 0, -2]])
-        assert not check_negative_definite([[-1, 1], [1, -1]])  # row cancels to zero
-        assert check_negative_definite([[-2, 1], [1, -2]])
+        assert not check_negative_definite([{0: 0}])
+        assert not check_negative_definite([{0: 1}])
+        assert not check_negative_definite([{0: -1, 1: 2}, {0: 2, 1: -1}])
+        assert not check_negative_definite([{0: -2, 1: 1, 2: 1}, {0: 1}, {0: 1, 2: -2}])
+        assert not check_negative_definite([{0: -1, 1: 1}, {0: 1, 1: -1}])  # row cancels to zero
+        assert check_negative_definite([{0: -2, 1: 1}, {0: 1, 1: -2}])
         assert check_negative_definite([])
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
-            check_negative_definite([[-2, 1], [0, -2]])
+            check_negative_definite([{0: -2, 1: 1}, {1: -2}])
         with pytest.raises(NotSymmetric):
-            check_negative_definite([[-2, 1]])
+            check_negative_definite([{0: -2, 1: 1}])  # one row, two columns: not square
 
     def test_rejects_non_integer(self):
         with pytest.raises(LineSurfError):
-            check_negative_definite([[-0.5]])
+            check_negative_definite([{0: -0.5}])
 
     @pytest.mark.parametrize("zero", ["", 0.0])
     def test_rejects_zero_like_non_integer(self, zero):
         # zero-like entries are checked too, not skipped as zeros
         with pytest.raises(BadParameter):
-            check_negative_definite([[-2, zero], [zero, -2]])
+            check_negative_definite([{0: -2, 1: zero}, {0: zero, 1: -2}])
 
     def test_graph_rows(self):
-        assert intersection_rows(build_resolution_graph(3, 5)) == [
+        assert intersection_matrix(build_resolution_graph(3, 5)) == [
             {0: -2, 1: 1, 3: 1, 5: 1}, {1: -2, 0: 1, 2: 1}, {2: -3, 1: 1},
             {3: -2, 0: 1, 4: 1}, {4: -3, 3: 1}, {5: -2, 0: 1, 6: 1}, {6: -3, 5: 1}]
-        assert check_negative_definite(intersection_rows(build_resolution_graph(5, 21)))
+        assert check_negative_definite(intersection_matrix(build_resolution_graph(5, 21)))
 
     @settings(max_examples=50)
     @given(rd_pairs)
@@ -182,7 +181,7 @@ class TestIntersectionMatrix:
         r, d = pair
         m = intersection_matrix(build_resolution_graph(r, d))
         assert check_negative_definite(m)
-        spoiled = [row[:] for row in m]
+        spoiled = list(map(dict, m))
         spoiled[0][0] = 1
         assert not check_negative_definite(spoiled)
 
@@ -203,7 +202,7 @@ class TestStarCriterion:
                 for b in (weight_data(r, d).b - 1, weight_data(r, d).b):
                     verdict = star_criterion(r, d, b)
                     assert verdict == check_negative_definite(
-                        intersection_rows(unblown_star(r, d, b))), (r, d, b)
+                        intersection_matrix(unblown_star(r, d, b))), (r, d, b)
                     verdicts.add(verdict)
         assert verdicts == {True, False}
 

@@ -14,10 +14,14 @@ from linesurf import chern_ratio_analysis, local_invariants, validate_profile
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_process(name, *args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def run_script(name, *args):
+    done = run_process(name, *args)
     assert (done.returncode, done.stderr) == (0, ""), done.stderr
     header, *rows = done.stdout.splitlines()
     return header.split(), [row.split() for row in rows]
@@ -36,6 +40,22 @@ def test_ratio_scan(d):
         form = out["nodes_triples_form"]
         assert (Fraction(ratio), int(numer), int(denom)) == (
             out["ratio"], form["numer"], form["denom"]), (d, t3)
+
+
+def test_ratio_scan_pencil_ratio_undefined():
+    # t_3 = 1 at d = 3 is the 3-line pencil: c2 = 0
+    header, rows = run_script("ratio_scan.py", "--d", "3")
+    out = chern_ratio_analysis(validate_profile(3, {2: 3}))
+    form = out["nodes_triples_form"]
+    assert rows == [["0", "3", str(out["ratio"]), str(form["numer"]), str(form["denom"])],
+                    ["1", "0", "undefined"]]
+
+
+@pytest.mark.parametrize("d", ["1", "0", "-4"])
+def test_ratio_scan_rejects_small_d(d):
+    done = run_process("ratio_scan.py", "--d", d)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.splitlines() == [f"BadParameter: d must be >= 2, got {d}"]
 
 
 def test_local_table_residue():

@@ -2,7 +2,7 @@
 
 from collections import OrderedDict
 from fractions import Fraction
-from itertools import compress
+from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +18,6 @@ from linesurf import (
 )
 from linesurf import verify
 from linesurf.errors import BadParameter, LineSurfError, NotSymmetric, SingularMatrix
-from linesurf.resolution import intersection_rows
 from linesurf.verify import (
     adjunction_rhs,
     expected_vertex_coefficients,
@@ -29,17 +28,17 @@ from linesurf.verify import (
 class TestSolveExact:
     def test_small_system(self):
         # -2x + y = 0 and x - 2y = -3 give (x, y) = (1, 2)
-        x = solve_exact([[-2, 1], [1, -2]], [0, -3])
+        x = solve_exact([{0: -2, 1: 1}, {0: 1, 1: -2}], [0, -3])
         assert x == [Fraction(1), Fraction(2)]
 
     def test_rational_result(self):
-        x = solve_exact([[2, 1], [1, 2]], [1, 0])
+        x = solve_exact([{0: 2, 1: 1}, {0: 1, 1: 2}], [1, 0])
         assert x == [Fraction(2, 3), Fraction(-1, 3)]
 
     def test_singular(self):
         # the second system cancels a row to all zeros, rhs included
-        for matrix, rhs in (([[1, 1], [1, 1]], [1, 2]), ([[1, 1], [1, 1]], [1, 1]),
-                            ([[0]], [1])):
+        ones = [{0: 1, 1: 1}, {0: 1, 1: 1}]
+        for matrix, rhs in ((ones, [1, 2]), (ones, [1, 1]), ([{0: 0}], [1])):
             with pytest.raises(SingularMatrix):
                 solve_exact(matrix, rhs)
 
@@ -47,19 +46,20 @@ class TestSolveExact:
                        reason="eliminate makes no row exchanges, so a zero pivot stops it")
     def test_zero_pivot_with_unique_solution(self):
         # y = 1 and x = 1: nonsingular, but the first pivot, the last diagonal entry, is 0
-        assert solve_exact([[0, 1], [1, 0]], [1, 1]) == [1, 1]
+        assert solve_exact([{1: 1}, {0: 1}], [1, 1]) == [1, 1]
 
-    @pytest.mark.parametrize("matrix", [[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[1, 0], [0]]])
+    @pytest.mark.parametrize("matrix", [[{0: 1, 1: 1}, {1: 1}], [{0: 1}, {0: 1, 1: 1}],
+                                        [{0: 1}, {1: 1, 2: 1}]])  # the last is not square
     def test_rejects_asymmetric(self, matrix):
         with pytest.raises(NotSymmetric):
             solve_exact(matrix, [1, 1])
 
-    @pytest.mark.parametrize("matrix, rhs", [([[-0.5]], [1]), ([[2]], [0.5])])
+    @pytest.mark.parametrize("matrix, rhs", [([{0: -0.5}], [1]), ([{0: 2}], [0.5])])
     def test_rejects_non_integer(self, matrix, rhs):
         with pytest.raises(LineSurfError):
             solve_exact(matrix, rhs)
 
-    @pytest.mark.parametrize("matrix, rhs", [([[1]], [1, 2]), ([[1, 0], [0, 1]], [1])])
+    @pytest.mark.parametrize("matrix, rhs", [([{0: 1}], [1, 2]), ([{0: 1}, {1: 1}], [1])])
     def test_rejects_rhs_of_wrong_length(self, matrix, rhs):
         with pytest.raises(BadParameter):
             solve_exact(matrix, rhs)
@@ -67,15 +67,16 @@ class TestSolveExact:
     def test_rejects_zero_like_non_integer(self):
         # zero-like entries are checked too, not skipped as zeros
         with pytest.raises(BadParameter):
-            solve_exact([[-2, None], [None, -2]], [2, 2])
+            solve_exact([{0: -2, 1: None}, {0: None, 1: -2}], [2, 2])
 
     def test_integral_components_are_ints(self):
-        x = solve_exact([[2, 1], [1, 2]], [3, 3])
+        m = [{0: 2, 1: 1}, {0: 1, 1: 2}]
+        x = solve_exact(m, [3, 3])
         assert x == [1, 1] and all(type(v) is int for v in x)
-        assert [type(v) for v in solve_exact([[2, 1], [1, 2]], [1, 0])] == [Fraction, Fraction]
+        assert [type(v) for v in solve_exact(m, [1, 0])] == [Fraction, Fraction]
 
     def test_sparse_rows(self):
-        # dict rows give the dense result; stored zeros are dropped
+        # stored zeros are dropped
         assert solve_exact([{0: -2, 1: 1}, {0: 1, 1: -2, 2: 0}, {2: 1}], [0, -3, 5]) == [1, 2, 5]
         rows = [{0: -2, 1: 1}, {0: 1, 1: -2}]
         solve_exact(rows, [0, -3])
@@ -85,7 +86,7 @@ class TestSolveExact:
         ([{0: -2, 1: 1}, {0: 1, 1: -2.0}], BadParameter),   # non-int entry
         ([{0: -2, 1.0: 1}, {0: 1, 1: -2}], BadParameter),   # non-int column
         ([{0: -2, 1: True}, {0: 1, 1: -2}], BadParameter),  # bool is not an int entry
-        ([{0: -2, 1: 1}, [1, -2]], BadParameter),           # dense and dict rows mixed
+        ([{0: -2, 1: 1}, [1, -2]], BadParameter),           # a dense row among dicts
         ([[-2, 1], OrderedDict({0: 1, 1: -2})], BadParameter),
         ([{0: -2, 2: 1}, {1: -2}], NotSymmetric),           # column out of range
         ([{0: -2, -1: 1}, {0: 1, 1: -2}], NotSymmetric),    # negative column
@@ -94,6 +95,14 @@ class TestSolveExact:
     def test_rejects_bad_sparse_rows(self, rows, error):
         with pytest.raises(error):
             solve_exact(rows, [0, 0])
+
+    def test_rejects_dense_rows(self):
+        # one matrix form: dense rows are not a second input format
+        dense = [[-2, 1], [1, -2]]
+        with pytest.raises(BadParameter):
+            check_negative_definite(dense)
+        with pytest.raises(BadParameter):
+            solve_exact(dense, [0, -3])
 
 
 def reference_solve(matrix, rhs):
@@ -161,27 +170,28 @@ class TestAgainstFractionReference:
         matrix, rhs = system
         rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
         expected = reference_solve(matrix, rhs)
-        for given_matrix in (matrix, rows):
-            if expected is None:
-                with pytest.raises(SingularMatrix):
-                    solve_exact(given_matrix, rhs)
-            else:
-                assert solve_exact(given_matrix, rhs) == expected
-            assert check_negative_definite(given_matrix) == reference_negative_definite(matrix)
+        if expected is None:
+            with pytest.raises(SingularMatrix):
+                solve_exact(rows, rhs)
+        else:
+            assert solve_exact(rows, rhs) == expected
+        assert check_negative_definite(rows) == reference_negative_definite(matrix)
 
 
 class TestGraphRows:
-    def test_rows_and_solutions_match_dense_matrix(self):
-        # the graph's sparse rows against the dense matrix, and the sweep's
-        # solve on them against a solve of the dense matrix
+    def test_rows_are_weights_and_edges(self):
+        # each row stores -weight on its diagonal and 1 at exactly the graph's
+        # neighbours, symmetrically, and nothing else
         for d in range(2, 61):
             for r in range(2, d + 1):
                 g = build_resolution_graph(r, d)
-                m = intersection_matrix(g)
-                columns = range(len(m))
-                assert intersection_rows(g) == [{j: row[j] for j in compress(columns, row)}
-                                                for row in m], (r, d)
-                assert list(coefficients_from_matrix(g)) == solve_exact(m, adjunction_rhs(g)), (r, d)
+                rows = intersection_matrix(g)
+                diagonal = [row.pop(i) for i, row in enumerate(rows)]
+                assert diagonal == [-w for w in g.weights()], (r, d)
+                assert set(chain.from_iterable(map(dict.values, rows))) <= {1}, (r, d)
+                stored = {(i, j) for i, row in enumerate(rows) for j in row}
+                edges = set(g.edge_list())
+                assert stored == edges | {(j, i) for i, j in edges}, (r, d)
 
 
 class TestOracle:
