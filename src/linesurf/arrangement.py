@@ -56,15 +56,20 @@ class Line(Record):
 
     @classmethod
     def of(cls, a, b, c) -> "Line":
-        coeffs = (Fraction(a), Fraction(b), Fraction(c))
-        scale = lcm(*(v.denominator for v in coeffs))
-        ints = [v.numerator * (scale // v.denominator) for v in coeffs]
-        g = gcd(*ints)
-        if g == 0:
-            raise ZeroForm("all three coefficients are zero")
-        if (ints[0] or ints[1] or ints[2]) < 0:
-            g = -g
-        return cls(*(v // g for v in ints))
+        return cls(*_primitive([(v.numerator, v.denominator) for v in map(Fraction, (a, b, c))]))
+
+
+def _primitive(coeffs) -> tuple[int, int, int]:
+    """The primitive integer triple of three (numerator, positive denominator) pairs."""
+    (p1, q1), (p2, q2), (p3, q3) = coeffs
+    scale = lcm(q1, q2, q3)
+    a, b, c = p1 * (scale // q1), p2 * (scale // q2), p3 * (scale // q3)
+    g = gcd(a, b, c)
+    if g == 0:
+        raise ZeroForm("all three coefficients are zero")
+    if (a or b or c) < 0:
+        g = -g
+    return a // g, b // g, c // g
 
 
 class Arrangement(Record):
@@ -90,9 +95,9 @@ class Arrangement(Record):
 class Profile(Record):
     """Line count d plus the multiplicity counts t_r, stored sorted by r.
 
-    Construction checks d >= 2, each r in [2, d] and strictly increasing with
-    a positive count, and the pair-count identity sum t_r r(r-1)/2 =
-    d(d-1)/2, so every profile is balanced.
+    Construction checks that d, each r and each count is an ``int`` (not a
+    ``bool``), d >= 2, each r in [2, d] and strictly increasing with a
+    positive count, and sum t_r r(r-1)/2 = d(d-1)/2, so every profile is balanced.
     """
 
     _fields = ("d", "t")
@@ -101,9 +106,13 @@ class Profile(Record):
         set_field(self, "d", d)
         set_field(self, "t", t)
         last, total = 1, 0
+        if type(d) is not int:
+            raise BadParameter(f"d must be an int, got {d!r}")
         if d < 2:
             raise BadParameter(f"d must be >= 2, got {d}")
         for r, count in t:
+            if type(r) is not int or type(count) is not int:
+                raise BadParameter(f"multiplicity and count must be ints, got {r!r}: {count!r}")
             if r < 2 or r > d:
                 raise MultiplicityOutOfRange(f"multiplicity {r} outside [2, {d}]")
             if r <= last:
@@ -154,21 +163,34 @@ def parse_arrangement(text: str) -> Arrangement:
         tokens = body.split()
         if len(tokens) != 3:
             raise MalformedLine(f"line {lineno}: expected 3 coefficients, got {len(tokens)}")
-        coeffs = []
-        for tok in tokens:
-            try:
-                _, e, exponent = tok.lower().partition("e")
-                if e and abs(int(exponent)) > MAX_EXPONENT:
-                    raise MalformedLine(f"line {lineno}: exponent of {tok!r} exceeds "
-                                        f"{MAX_EXPONENT} in magnitude")
-                coeffs.append(Fraction(tok))
-            except (ValueError, ZeroDivisionError):
-                raise MalformedLine(f"line {lineno}: {tok!r} is not a rational number") from None
+        coeffs = [_rational(tok, lineno) for tok in tokens]
         try:
-            lines.append(Line.of(*coeffs))
+            lines.append(Line(*_primitive(coeffs)))
         except ZeroForm:
             raise ZeroForm(f"line {lineno}: all coefficients are zero") from None
     return Arrangement(tuple(lines))
+
+
+def _rational(tok: str, lineno: int) -> tuple[int, int]:
+    """A coefficient token as (numerator, positive denominator), accepted or
+    refused as ``Fraction`` would.  ``[sign]digits[/digits]`` is read with
+    ``int()``, whose digits are those where ``str.isdecimal`` holds; a zero
+    denominator and any other token go to ``Fraction``."""
+    try:
+        num, slash, den = tok.partition("/")
+        if ((num[1:] if num[:1] in ("+", "-") else num).isdecimal()
+                and (den.isdecimal() or not slash)):
+            q = int(den) if slash else 1
+            if q:
+                return int(num), q
+        _, e, exponent = tok.lower().partition("e")
+        if e and abs(int(exponent)) > MAX_EXPONENT:
+            raise MalformedLine(f"line {lineno}: exponent of {tok!r} exceeds "
+                                f"{MAX_EXPONENT} in magnitude")
+        value = Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise MalformedLine(f"line {lineno}: {tok!r} is not a rational number") from None
+    return value.numerator, value.denominator
 
 
 def profile_of(arr: Arrangement) -> Profile:
@@ -191,9 +213,12 @@ def _points(lines):
 
 
 def validate_profile(d: int, t: dict) -> Profile:
-    """The profile of d lines with counts {r: t_r}, sorted by r; ``Profile``
-    checks it."""
-    return Profile(d, tuple([(int(r), int(c)) for r, c in sorted(t.items())]))
+    """The profile of d lines with integer counts {r: t_r}, sorted by r;
+    ``Profile`` checks it."""
+    try:
+        return Profile(d, tuple(sorted(t.items())))
+    except TypeError:  # multiplicities that do not sort, so not all ints
+        raise BadParameter(f"multiplicities must be ints, got {list(t)!r}") from None
 
 
 def is_pencil(p: Profile) -> bool:
@@ -237,7 +262,7 @@ def catalog_profile(name: str, param: Optional[int] = None) -> CatalogEntry:
     row = CATALOG.get(name)
     if row is None:
         raise UnknownCatalogName(name)
-    if (param is None) != (row.flag is None):
+    if (param is None) != (row.flag is None) or (row.flag and type(param) is not int):
         need = "needs an integer parameter" if row.flag else "takes no parameter"
         raise BadParameter(f"catalog entry {name!r} {need}")
     if row.flag and param < row.minimum:

@@ -3,10 +3,10 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from linesurf import (
     Arrangement,
@@ -19,7 +19,7 @@ from linesurf import (
     profile_of,
     validate_profile,
 )
-from linesurf.arrangement import CATALOG
+from linesurf.arrangement import CATALOG, MAX_EXPONENT, _rational
 from linesurf.errors import (
     BadParameter,
     DuplicateLine,
@@ -33,6 +33,65 @@ from linesurf.errors import (
 )
 
 TRIANGLE = "1 0 0\n0 1 0\n0 0 1\n"
+# the characters of coefficient tokens, with the Unicode digits three and
+# zero (Arabic-Indic) and fullwidth one, which int() and Fraction accept,
+# and the superscript two, which both refuse
+TOKEN_ALPHABET = "0123456789+-/._eE\u0663\u00b2\uff11\u0660"
+
+
+def _reference_token(tok, lineno):
+    """Reference token reader: the exponent bound, then ``Fraction``."""
+    try:
+        _, e, exponent = tok.lower().partition("e")
+        if e and abs(int(exponent)) > MAX_EXPONENT:
+            raise MalformedLine(f"line {lineno}: exponent of {tok!r} exceeds "
+                                f"{MAX_EXPONENT} in magnitude")
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise MalformedLine(f"line {lineno}: {tok!r} is not a rational number") from None
+
+
+def _reference_parse(text):
+    """The line-list parser on ``Fraction``s: each token through
+    ``_reference_token``, each row divided by its first nonzero entry and then
+    scaled by the lcm of its denominators.  Returns the arrangement, or the
+    type and message of the error raised."""
+    try:
+        lines = []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
+                continue
+            if len(tokens) != 3:
+                raise MalformedLine(f"line {lineno}: expected 3 coefficients, got {len(tokens)}")
+            coeffs = [_reference_token(tok, lineno) for tok in tokens]
+            if not any(coeffs):
+                raise ZeroForm(f"line {lineno}: all coefficients are zero")
+            lead = next(v for v in coeffs if v)
+            scaled = [v / lead for v in coeffs]
+            scale = lcm(*(v.denominator for v in scaled))
+            lines.append(Line(*(int(v * scale) for v in scaled)))
+        return Arrangement(tuple(lines))
+    except LineSurfError as exc:
+        return type(exc), str(exc)
+
+
+def _parse_outcome(text):
+    try:
+        return parse_arrangement(text)
+    except LineSurfError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def line_texts(draw):
+    """Line-list texts of mostly three-token rows: small integers, p/q with a
+    possibly signed or zero denominator, and arbitrary tokens."""
+    token = st.one_of(st.integers(-9, 9).map(str),
+                      st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-2, 9)),
+                      st.text(alphabet=TOKEN_ALPHABET, min_size=1, max_size=6))
+    rows = draw(st.lists(st.lists(token, min_size=2, max_size=4).map(" ".join), max_size=8))
+    return "\n".join(row + draw(st.sampled_from(("", "  # c"))) for row in rows)
 
 
 class TestLine:
@@ -94,12 +153,43 @@ class TestParse:
 
     @given(st.one_of(st.text(), st.text(alphabet="0123456789+-./eE# \t\n")))
     def test_arbitrary_text(self, text):
-        # any text parses to an arrangement or fails with a library error
+        # any text parses to an arrangement or fails with a library error,
+        # the same as the Fraction reference
+        outcome = _parse_outcome(text)
+        assert outcome == _reference_parse(text)
+        assert isinstance(outcome, tuple) or outcome.d >= 2
+
+    @given(line_texts())
+    def test_matches_fraction_reference(self, text):
+        assert _parse_outcome(text) == _reference_parse(text)
+
+    @given(st.text(alphabet=TOKEN_ALPHABET, min_size=1, max_size=10))
+    @example("0/0")
+    @example("1/-2")
+    @example("+3/4")
+    @example("1_000/3")
+    @example("\u0661/\u0662")
+    @example("\u00b2")
+    @example("1e4301")
+    @example("9" * 4301)
+    @example("-" + "9" * 4301)
+    @example("1/" + "9" * 4301)
+    def test_token_reader_matches_fraction(self, tok):
+        # the same value, or the same error and message, as Fraction
+        text = f"{tok} 1 0\n0 0 1\n"
+        assert _parse_outcome(text) == _reference_parse(text)
         try:
-            arr = parse_arrangement(text)
-        except LineSurfError:
+            value = _reference_token(tok, 1)
+        except MalformedLine:
             return
-        assert isinstance(arr, Arrangement) and arr.d >= 2
+        p, q = _rational(tok, 1)
+        assert q > 0 and Fraction(p, q) == value
+
+    @pytest.mark.parametrize("tok", ["9" * 4301, "1/" + "9" * 4301],
+                             ids=["4301-digits", "4301-digit-denominator"])
+    def test_refuses_digit_strings_beyond_int_limit(self, tok):
+        with pytest.raises(MalformedLine, match="line 1: .* is not a rational number"):
+            parse_arrangement(f"{tok} 1 0\n0 0 1\n")
 
 
 class TestProfile:
@@ -250,6 +340,22 @@ class TestValidateProfile:
             validate_profile(1, {})
         with pytest.raises(BadParameter):
             validate_profile(4, {2: 0, 4: 1})
+
+    @pytest.mark.parametrize("call, args", [
+        (validate_profile, (4, {2: 6.9})),
+        (validate_profile, (4, {2.7: 6})),
+        (validate_profile, (4, {"2": "6"})),
+        (validate_profile, ("4", {2: 6})),
+        (validate_profile, (2, {2: True})),
+        (validate_profile, (4, {None: 1, 2: 6})),
+        (Profile, (4.0, ((2, 6),))),
+        (catalog_profile, ("generic", 4.0)),
+        (catalog_profile, ("pencil", 2.5)),
+        (catalog_profile, ("braid", True)),
+    ])
+    def test_refuses_non_int(self, call, args):
+        with pytest.raises(BadParameter, match="int"):
+            call(*args)
 
     def test_sorted_storage(self):
         p = validate_profile(6, {3: 4, 2: 3})
