@@ -16,6 +16,17 @@ from operator import attrgetter
 set_field = object.__setattr__
 
 
+def _repr(value) -> str:
+    """``repr(value)``, but an int past the digit limit of int-to-str
+    conversion, which repr refuses, shows its sign and bit length."""
+    try:
+        return repr(value)
+    except ValueError:
+        if type(value) is not int:
+            raise
+        return f"<{'-' * (value < 0)}int of {value.bit_length()} bits>"
+
+
 class Record:
     _fields: tuple[str, ...] = ()
 
@@ -33,7 +44,7 @@ class Record:
         return hash(self._values(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={_repr(getattr(self, name))}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):

@@ -26,6 +26,7 @@ from linesurf import (
     weight_data,
 )
 from linesurf.cli import main
+from linesurf.errors import BadParameter
 
 HESSE = catalog_profile("hesse").profile
 
@@ -152,6 +153,15 @@ def test_plain_record_repr_names_each_field(plain_record):
     rec, fields = plain_record
     assert repr(rec) == (f"{type(rec).__name__}("
                          + ", ".join(f"{name}={getattr(rec, name)!r}" for name in fields) + ")")
+
+
+def test_repr_of_an_int_past_the_digit_limit():
+    # repr refuses an int of more than 4300 digits; a record shows its bit length
+    with pytest.raises(BadParameter, match=r"^Line\(a=<int of 14286 bits>, b=0, c=0\) is not"):
+        Line(2 * 10 ** 4300, 0, 0)
+    assert repr(parse_arrangement("1e4300 0 1\n0 1 0\n")) == (
+        "Arrangement(lines=(Line(a=<int of 14285 bits>, b=0, c=1), Line(a=0, b=1, c=0)))")
+    assert repr(Line(1, -(10 ** 4300), 0)) == "Line(a=1, b=<-int of 14285 bits>, c=0)"
 
 
 def test_plain_record_vars_keep_the_field_order(plain_record):

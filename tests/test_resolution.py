@@ -10,6 +10,8 @@ from linesurf import (
     build_resolution_graph,
     check_negative_definite,
     intersection_matrix,
+    local_invariants,
+    sweep_verify,
     to_dot,
     weight_data,
 )
@@ -53,6 +55,16 @@ class TestWeightData:
             weight_data(1, 5)
         with pytest.raises(BadMultiplicity):
             weight_data(6, 5)
+
+    @pytest.mark.parametrize("call, args", [
+        (local_invariants, (3, 10.0)), (build_resolution_graph, (3, 10.0)),
+        (weight_data, (3, 7.0)), (weight_data, (3.0, 7)), (weight_data, (True, 7)),
+        (weight_data, ("3", 7)), (graph_size, (3, 7.0)),
+        (sweep_verify, (3, 10.0)), (sweep_verify, (3.0, 10)), (sweep_verify, (True, 10)),
+    ])
+    def test_refuses_non_int(self, call, args):
+        with pytest.raises(BadParameter):
+            call(*args)
 
     @given(rd_pairs)
     def test_central_weight_positive(self, pair):

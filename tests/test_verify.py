@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from linesurf import (
     build_resolution_graph,
@@ -18,6 +18,7 @@ from linesurf import (
 )
 from linesurf import verify
 from linesurf.errors import BadParameter, LineSurfError, NotSymmetric, SingularMatrix
+from linesurf.resolution import eliminate
 from linesurf.verify import (
     adjunction_rhs,
     expected_vertex_coefficients,
@@ -105,18 +106,26 @@ class TestSolveExact:
             solve_exact(dense, [0, -3])
 
 
-def reference_solve(matrix, rhs):
+def reference_rows(matrix, rhs):
     """Plain Fraction Gauss elimination, highest index first and without row
-    exchanges, in the order of ``eliminate``; None at a zero pivot."""
+    exchanges, in the order of ``eliminate``: the rows [M | rhs], now lower
+    triangular, or None at a zero pivot.  Rows with a zero in the pivot
+    column are left alone."""
     n = len(matrix)
     a = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
     for k in reversed(range(n)):
         if a[k][k] == 0:
             return None
-        for i in range(k):
+        for i in filter(lambda i: a[i][k], range(k)):
             factor = a[i][k] / a[k][k]
             for j in range(n + 1):
                 a[i][j] -= factor * a[k][j]
+    return a
+
+
+def reference_solve(a):
+    """Forward substitution through the rows that ``reference_rows`` returns."""
+    n = len(a)
     x = []
     for i in range(n):
         x.append((a[i][n] - sum(a[i][j] * x[j] for j in range(i))) / a[i][i])
@@ -124,7 +133,8 @@ def reference_solve(matrix, rhs):
 
 
 def reference_determinant(matrix):
-    """Fraction Gauss elimination with row exchanges."""
+    """Fraction Gauss elimination with row exchanges; rows with a zero in the
+    pivot column are left alone."""
     a = [[Fraction(v) for v in row] for row in matrix]
     det = Fraction(1)
     for k in range(len(a)):
@@ -135,7 +145,7 @@ def reference_determinant(matrix):
             a[k], a[pivot] = a[pivot], a[k]
             det = -det
         det *= a[k][k]
-        for i in range(k + 1, len(a)):
+        for i in filter(lambda i: a[i][k], range(k + 1, len(a))):
             factor = a[i][k] / a[k][k]
             for j in range(k, len(a)):
                 a[i][j] -= factor * a[k][j]
@@ -164,18 +174,93 @@ def symmetric_systems(draw):
     return m, rhs
 
 
+@st.composite
+def hub_trees(draw):
+    """Weighted trees on 9 to 12 vertices with a hub of degree >= 8, labelled
+    at random, so that most pivots have one lower neighbour: the leaf pivots
+    of ``eliminate``.  The diagonal is shifted down by a random amount, as in
+    ``symmetric_systems``, so that zero and positive pivots, definite matrices
+    and complete eliminations all occur."""
+    n = draw(st.integers(min_value=9, max_value=12))
+    shift = draw(st.integers(min_value=0, max_value=20))
+    # before relabelling, vertices 1..8 hang on the hub 0 and the rest anywhere
+    parents = [0] * 8 + [draw(st.integers(min_value=0, max_value=v - 1)) for v in range(9, n)]
+    label = draw(st.permutations(range(n)))
+    diagonal = draw(st.lists(st.integers(min_value=-4, max_value=2), min_size=n, max_size=n))
+    edges = draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=n - 1, max_size=n - 1))
+    m = [[0] * n for _ in range(n)]
+    for v, w in zip(label, diagonal):
+        m[v][v] = w - shift
+    for v, parent, e in zip(range(1, n), parents, edges):
+        i, j = label[v], label[parent]
+        m[i][j] = m[j][i] = e
+    rhs = draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n))
+    return m, rhs
+
+
+def assert_matches_reference(matrix, rhs):
+    """eliminate, solve_exact and check_negative_definite on the sparse rows
+    of a dense symmetric system agree with the Fraction references: each row
+    of eliminate is a positive multiple of the reference row, with the same
+    entries stored, and a zero pivot raises SingularMatrix at its index."""
+    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    expected = reference_rows(matrix, rhs)
+    if expected is None:
+        with pytest.raises(SingularMatrix) as raised:
+            solve_exact(rows, rhs)
+        # the pivots from the last index down to k need only the trailing block at k
+        index = int(str(raised.value).rsplit(" ", 1)[1])
+        for k, singular in ((index, True), (index + 1, False)):
+            block = [row[k:] for row in matrix[k:]]
+            assert (reference_rows(block, rhs[k:]) is None) == singular
+    else:
+        eliminated, b = eliminate(rows, rhs)
+        for i, (row, ref) in enumerate(zip(eliminated, expected)):
+            assert set(row) == {j for j in range(i + 1) if ref[j]}
+            q = ref[i] / row[i]
+            assert q > 0 and all(ref[j] == q * v for j, v in row.items()) and ref[-1] == q * b[i]
+        assert solve_exact(rows, rhs) == reference_solve(expected)
+    assert check_negative_definite(rows) == reference_negative_definite(matrix)
+
+
 class TestAgainstFractionReference:
     @given(symmetric_systems())
     def test_solve_and_definiteness(self, system):
-        matrix, rhs = system
-        rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
-        expected = reference_solve(matrix, rhs)
-        if expected is None:
-            with pytest.raises(SingularMatrix):
-                solve_exact(rows, rhs)
-        else:
-            assert solve_exact(rows, rhs) == expected
-        assert check_negative_definite(rows) == reference_negative_definite(matrix)
+        assert_matches_reference(*system)
+
+    @settings(max_examples=60)
+    @given(hub_trees())
+    def test_hub_trees(self, system):
+        assert_matches_reference(*system)
+
+
+class TestLeafPivots:
+    """A pivot with one lower neighbour updates only that row's multiplier,
+    diagonal and right-hand side."""
+
+    @pytest.mark.parametrize("matrix, index", [
+        ([{0: -1, 1: 1}, {0: 1, 1: -1}], 0),                       # no off-diagonal left
+        ([{0: -2, 1: 1}, {0: 1, 1: -1, 2: 1}, {1: 1, 2: -1}], 1),  # one left, multiplier 1
+        ([{0: -2, 1: 1}, {0: 1, 1: -2, 2: 2}, {1: 2, 2: -2}], 1),  # multiplier 2
+    ])
+    def test_update_that_zeroes_the_diagonal(self, matrix, index):
+        with pytest.raises(SingularMatrix, match=f"^zero pivot at index {index}$"):
+            solve_exact(matrix, [1] * len(matrix))
+        assert not check_negative_definite(matrix)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_leaf_updates_then_clique_update(self, sign):
+        # roots 0, 1, 2 form a clique, as in a blown-down star; leaves 3 and 4
+        # scale row 1's multiplier and leaf 5 row 2's, then pivot 2 updates
+        # rows 0 and 1 together.  Either sign gives positive and negative leaf pivots
+        matrix = [[-4, 1, 1, 0, 0, 0],
+                  [1, -5, 1, 1, 2, 0],
+                  [1, 1, -4, 0, 0, 1],
+                  [0, 1, 0, 3 * sign, 0, 0],
+                  [0, 2, 0, 0, 3 * sign, 0],
+                  [0, 0, 1, 0, 0, -2 * sign]]
+        rhs = [1, -2, 3, 0, 5, -1]
+        assert_matches_reference(matrix, rhs)
 
 
 class TestGraphRows:
