@@ -15,7 +15,6 @@ from .arrangement import (
     Line,
     Profile,
     catalog_profile,
-    hirzebruch_diagnostic,
     is_pencil,
     parse_arrangement,
     profile_of,
@@ -53,7 +52,7 @@ from .verify import OracleReport, coefficients_from_matrix, local_invariants_fro
 
 __all__ = [
     "Arrangement", "CatalogEntry", "Line", "Profile",
-    "catalog_profile", "hirzebruch_diagnostic", "is_pencil",
+    "catalog_profile", "is_pencil",
     "parse_arrangement", "profile_of", "validate_profile",
     "HJExpansion", "hj_expand", "hj_summary", "modular_beta",
     "CanonicalCoefficients", "LocalInvariants", "canonical_coefficients", "local_invariants",

@@ -33,7 +33,7 @@ from .errors import (
     UnknownCatalogName,
     ZeroForm,
 )
-from .record import Record, set_field
+from .record import Record, _repr, _str, set_field
 
 # Largest decimal exponent magnitude a token may carry: Fraction("1e<k>")
 # builds 10**k, so k is held to the default digit limit of int(str).
@@ -107,22 +107,26 @@ class Profile(Record):
         set_field(self, "t", t)
         last, total = 1, 0
         if type(d) is not int:
-            raise BadParameter(f"d must be an int, got {d!r}")
+            raise BadParameter(f"d must be an int, got {_repr(d)}")
         if d < 2:
-            raise BadParameter(f"d must be >= 2, got {d}")
+            raise BadParameter(f"d must be >= 2, got {_repr(d)}")
         for r, count in t:
             if type(r) is not int or type(count) is not int:
-                raise BadParameter(f"multiplicity and count must be ints, got {r!r}: {count!r}")
+                raise BadParameter(
+                    f"multiplicity and count must be ints, got {_repr(r)}: {_repr(count)}")
             if r < 2 or r > d:
-                raise MultiplicityOutOfRange(f"multiplicity {r} outside [2, {d}]")
+                raise MultiplicityOutOfRange(f"multiplicity {_repr(r)} outside [2, {_repr(d)}]")
             if r <= last:
-                raise MultiplicityOutOfRange(f"multiplicity {r} follows {last}; sort t by r")
+                raise MultiplicityOutOfRange(
+                    f"multiplicity {_repr(r)} follows {_repr(last)}; sort t by r")
             if count <= 0:
-                raise BadParameter(f"count for multiplicity {r} must be positive, got {count}")
+                raise BadParameter(
+                    f"count for multiplicity {_repr(r)} must be positive, got {_repr(count)}")
             last, total = r, total + count * r * (r - 1) // 2
         target = d * (d - 1) // 2
         if total != target:
-            raise UnbalancedProfile(f"sum t_r r(r-1)/2 = {total}, expected d(d-1)/2 = {target}")
+            raise UnbalancedProfile(
+                f"sum t_r r(r-1)/2 = {_repr(total)}, expected d(d-1)/2 = {_repr(target)}")
 
     def t_r(self, r: int) -> int:
         return dict(self.t).get(r, 0)
@@ -138,15 +142,6 @@ class CatalogEntry(NamedTuple):
     name: str
     profile: Profile
     q: Optional[int] = None
-
-
-class HirzebruchDiagnostic(NamedTuple):
-    """Result of the node/triple-point count inequality check."""
-
-    applicable: bool
-    lhs: Optional[Fraction] = None
-    rhs: Optional[Fraction] = None
-    holds: Optional[bool] = None
 
 
 def parse_arrangement(text: str) -> Arrangement:
@@ -266,23 +261,9 @@ def catalog_profile(name: str, param: Optional[int] = None) -> CatalogEntry:
         need = "needs an integer parameter" if row.flag else "takes no parameter"
         raise BadParameter(f"catalog entry {name!r} {need}")
     if row.flag and param < row.minimum:
-        raise BadParameter(f"catalog entry {name!r} needs a parameter >= {row.minimum}, got {param}")
+        raise BadParameter(
+            f"catalog entry {name!r} needs a parameter >= {row.minimum}, got {_repr(param)}")
     d, t, q = row.build(param)
-    return CatalogEntry(f"{name}({param})" if row.flag else name,
+    return CatalogEntry(f"{name}({_str(param)})" if row.flag else name,
                         validate_profile(d, {r: c for r, c in t.items() if c}), q)
 
-
-def hirzebruch_diagnostic(p: Profile) -> HirzebruchDiagnostic:
-    """Check t_2 + (3/4) t_3 >= d + sum_{r>=5} (r-4) t_r.
-
-    Only applicable when t_d = t_{d-1} = 0.  This form and its hypothesis
-    cite no source and are unchecked.  Hirzebruch 1983 ("Arrangements of
-    lines and algebraic surfaces") proves, for complex arrangements with
-    t_d = t_{d-1} = t_{d-2} = 0, the inequality
-    t_2 + t_3 >= d + sum_{r>=5} (r-4) t_r.
-    """
-    if p.t_r(p.d) != 0 or p.t_r(p.d - 1) != 0:
-        return HirzebruchDiagnostic(applicable=False)
-    lhs = Fraction(p.t_r(2)) + Fraction(3, 4) * p.t_r(3)
-    rhs = Fraction(p.d) + sum((r - 4) * c for r, c in p.t if r >= 5)
-    return HirzebruchDiagnostic(True, lhs, rhs, lhs >= rhs)

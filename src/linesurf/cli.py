@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error,
 3 failed internal check (a bug in linesurf, reported on one stderr line).
 JSON output is deterministic (sorted keys); integers whose magnitude exceeds
 2^53 are serialized as decimal strings so downstream double-based JSON
-parsers cannot corrupt them.
+parsers cannot corrupt them.  Both formats print every integer exactly, also
+past the digit limit of int-to-str conversion, without changing that limit.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .arrangement import (
 )
 from .errors import BadParameter, InternalCheckError, LineSurfError
 from .local import canonical_coefficients, local_invariants
+from .record import _repr, _str
 from .resolution import build_resolution_graph, graph_size, to_dot
 from .surface import global_invariants, hodge_diamond, verdict
 from .verify import sweep_verify
@@ -44,9 +46,9 @@ def _jsonable(value):
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
-        return value if abs(value) < _SAFE_INT else str(value)
+        return value if abs(value) < _SAFE_INT else _str(value)
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return f"{_str(value.numerator)}/{_str(value.denominator)}"
     if isinstance(value, str):
         return value
     if isinstance(value, dict):
@@ -88,8 +90,8 @@ def _path(flag: str, name: str) -> Path:
 def _check_graph_size(r: int, d: int) -> None:
     size = graph_size(r, d)
     if size > MAX_GRAPH_SIZE:
-        raise BadParameter(f"the resolution graph for (r, d)=({r}, {d}) has {size} vertices "
-                           f"and edges, more than the cap of {MAX_GRAPH_SIZE}")
+        raise BadParameter(f"the resolution graph for (r, d)=({r}, {d}) has {_repr(size)} "
+                           f"vertices and edges, more than the cap of {MAX_GRAPH_SIZE}")
 
 
 def _resolve_input(args) -> tuple[Profile, Optional[int], dict]:
@@ -133,7 +135,7 @@ def _resolve_input(args) -> tuple[Profile, Optional[int], dict]:
             print(f"warning: --q {args.q} overrides catalog q={q}", file=sys.stderr)
         q = args.q
     echo = {"source": source, "d": profile.d,
-            "t": {str(r): c for r, c in profile.t}, "q": q}
+            "t": {_str(r): c for r, c in profile.t}, "q": q}
     return profile, q, echo
 
 
@@ -164,23 +166,23 @@ def _build_report(profile: Profile, q: Optional[int], echo: dict) -> dict:
 
 
 def _print_table(report: dict) -> None:
-    echo = report["input"]
-    print(f"input: {echo['source']}  d={echo['d']}  "
-          f"t={{{', '.join(f'{r}: {c}' for r, c in sorted(echo['t'].items(), key=lambda kv: int(kv[0])))}}}")
+    echo = report["input"]  # its t is sorted by r, as the profile's
+    print(f"input: {echo['source']}  d={_str(echo['d'])}  "
+          f"t={{{', '.join(f'{r}: {_str(c)}' for r, c in echo['t'].items())}}}")
     for key in ("k2_bar", "chi_bar", "my_bar", "c1_sq", "c2", "my_tilde"):
-        print(f"{key:10s} {report[key]}")
+        print(f"{key:10s} {_str(report[key])}")
     ratio = report["chern_ratio"]
-    print(f"{'ratio':10s} {ratio if ratio is not None else 'undefined (c2 = 0)'}")
+    print(f"{'ratio':10s} {_str(ratio) if ratio is not None else 'undefined (c2 = 0)'}")
     v = report["verdict"]
     print(f"verdict: pencil={v['pencil']} my_sign={v['my_sign']} "
           f"general_type={v['general_type']} ({v['reason']})")
     print("  r  t_r        DCI       DCII        DMY          E")
     for row in report["local"]:
-        print(f"{row['r']:3d} {row['t_r']:4d} {row['dci']:10d} {row['dcii']:10d} "
-              f"{row['dmy']:10d} {row['e']:10d}")
+        r, t_r, dci, dcii, dmy, e = (_str(row[k]) for k in ("r", "t_r", "dci", "dcii", "dmy", "e"))
+        print(f"{r:>3} {t_r:>4} {dci:>10} {dcii:>10} {dmy:>10} {e:>10}")
     if report["hodge"] is not None:
         h = report["hodge"]
-        print(f"hodge: q={h['q']} pg={h['pg']} h11={h['h11']}")
+        print(f"hodge: q={_str(h['q'])} pg={_str(h['pg'])} h11={_str(h['h11'])}")
     else:
         print("hodge: requires q")
 
@@ -204,9 +206,9 @@ def cmd_graph(args) -> int:
     print(f"shape: {graph.shape}")
     print(f"vertices: {graph.vertex_count}")
     if graph.central is not None:
-        print(f"central: genus={graph.central[0]} b={graph.central[1]}")
+        print(f"central: genus={_str(graph.central[0])} b={_str(graph.central[1])}")
     print(f"lambda: {graph.lam}")
-    print(f"arm weights: {list(graph.arms[0])}")
+    print(f"arm weights: [{', '.join(map(_str, graph.arms[0] if graph.arms else ()))}]")
     if dot is not None:
         print(f"dot written to {args.dot}")
     return 0

@@ -20,7 +20,8 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .errors import BetaOutOfRange, NotCoprime
+from .errors import BadParameter, BetaOutOfRange, NotCoprime
+from .record import _repr
 
 
 class HJExpansion(NamedTuple):
@@ -41,10 +42,13 @@ def modular_beta(alpha: int, bprime: int) -> int:
 
     Returns 0 when alpha = 1 (the no-arms convention).
     """
+    if not type(alpha) is type(bprime) is int:
+        raise BadParameter(f"alpha and bprime must be ints, got {_repr(alpha)} and {_repr(bprime)}")
     if alpha < 1 or bprime < 1:
-        raise BetaOutOfRange(f"need alpha >= 1 and bprime >= 1, got ({alpha}, {bprime})")
+        raise BetaOutOfRange(
+            f"need alpha >= 1 and bprime >= 1, got ({_repr(alpha)}, {_repr(bprime)})")
     if gcd(alpha, bprime) != 1:
-        raise NotCoprime(f"gcd({alpha}, {bprime}) != 1")
+        raise NotCoprime(f"gcd({_repr(alpha)}, {_repr(bprime)}) != 1")
     if alpha == 1:
         return 0
     return (-pow(bprime, -1, alpha)) % alpha
@@ -58,9 +62,8 @@ def hj_expand(alpha: int, beta: int) -> HJExpansion:
     with n_i = ceil(alpha_{i-1} / alpha_i), one term per step; the expansion
     is unique.  Only ``hj_summary`` takes a run of 2s in one step.
     """
-    if alpha == 1 and beta == 0:
+    if _no_arms(alpha, beta):
         return HJExpansion(1, 0, ())
-    _check_pair(alpha, beta)
     a, b = alpha, beta
     terms = []
     while b > 0:
@@ -78,9 +81,8 @@ def hj_summary(alpha: int, beta: int) -> tuple[int, int]:
     the pair (a mod s + s, a mod s), so no term is stored and the loop takes
     O(log alpha) steps.
     """
-    if alpha == 1 and beta == 0:
+    if _no_arms(alpha, beta):
         return 0, 0
-    _check_pair(alpha, beta)
     a, b = alpha, beta
     length = total = 0
     while b > 0:
@@ -98,8 +100,16 @@ def hj_summary(alpha: int, beta: int) -> tuple[int, int]:
     return length, total
 
 
-def _check_pair(alpha: int, beta: int) -> None:
+def _no_arms(alpha: int, beta: int) -> bool:
+    """True for the pair (1, 0); otherwise check that alpha and beta are ints
+    with 0 < beta < alpha coprime, and return False."""
+    if not type(alpha) is type(beta) is int:
+        raise BadParameter(f"alpha and beta must be ints, got {_repr(alpha)} and {_repr(beta)}")
+    if alpha == 1 and beta == 0:
+        return True
     if alpha < 2 or not 0 < beta < alpha:
-        raise BetaOutOfRange(f"need 0 < beta < alpha with alpha >= 2, got ({alpha}, {beta})")
+        raise BetaOutOfRange(
+            f"need 0 < beta < alpha with alpha >= 2, got ({_repr(alpha)}, {_repr(beta)})")
     if gcd(alpha, beta) != 1:
-        raise NotCoprime(f"gcd({alpha}, {beta}) != 1")
+        raise NotCoprime(f"gcd({_repr(alpha)}, {_repr(beta)}) != 1")
+    return False

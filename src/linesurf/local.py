@@ -1,8 +1,7 @@
 """Closed-form local invariants of a single singularity G_r(u, v) + t^d = 0.
 
-Three branches, mirroring the resolution shapes:
+Two branches, mirroring the resolution shapes:
 
-  r = 2              A_{d-1}; the resolution is crepant, everything from d.
   d = 1 (mod r)      blown-down star; discrepancies are the arithmetic
                      progression a_k = -(r-2)(lambda+1-k).
   otherwise          star; a_0, a_1 and a_lambda have closed forms and the
@@ -11,6 +10,10 @@ Three branches, mirroring the resolution shapes:
                      DCI and DCII read only the arm length lambda and the
                      term sum of alpha/beta, from ``hj_summary`` in
                      O(log d) steps.
+
+A node, r = 2, falls into these branches by the parity of d, and both give its
+crepant row DCI = 0, DCII = d - 1 (for d even, g = b = 2 and the arm is all
+2s); the chain shape remains an output of graphs and ``canonical_coefficients``.
 
 The quadruple (DCI, DCII, DMY, E) records the changes in c_1^2, the Euler
 number, the Miyaoka-Yau number, and the per-point Miyaoka-Yau contribution
@@ -63,13 +66,10 @@ def canonical_coefficients(r: int, d: int) -> CanonicalCoefficients:
         return CanonicalCoefficients(r, d, BLOWN_DOWN_STAR, values)
     exp = hj_expand(wd.w1, wd.beta)
     lam = exp.length
-    num = 1 + wd.w3 * wd.beta
-    if num % wd.w1 != 0:
-        raise InternalCheckError(f"alpha does not divide 1 + b'*beta for (r, d)=({r}, {d})")
     a0 = (2 - r) * wd.w1 + wd.w3 - 1
     vals = [a0]
     if lam >= 1:
-        vals.append((2 - r) * wd.beta + num // wd.w1 - 1)
+        vals.append((2 - r) * wd.beta + wd.b // wd.g - 1)  # b/g = (1 + b'beta)/alpha
         for k in range(1, lam):
             n_k = exp.terms[k - 1]
             vals.append(n_k * vals[k] - vals[k - 1] + n_k - 2)
@@ -81,9 +81,7 @@ def canonical_coefficients(r: int, d: int) -> CanonicalCoefficients:
 
 def local_invariants(r: int, d: int) -> LocalInvariants:
     wd = weight_data(r, d)
-    if r == 2:
-        dci, dcii = 0, d - 1
-    elif d % r == 1:
+    if d % r == 1:
         dci = -(d - 1) * (r - 2) ** 2
         dcii = d - 1
     else:

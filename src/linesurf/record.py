@@ -18,13 +18,30 @@ set_field = object.__setattr__
 
 def _repr(value) -> str:
     """``repr(value)``, but an int past the digit limit of int-to-str
-    conversion, which repr refuses, shows its sign and bit length."""
+    conversion, which repr refuses, shows its sign and bit length.  Every
+    message that names a caller's number renders it through this."""
     try:
         return repr(value)
     except ValueError:
         if type(value) is not int:
             raise
         return f"<{'-' * (value < 0)}int of {value.bit_length()} bits>"
+
+
+def _str(value) -> str:
+    """``str(value)`` of an int or a ``Fraction`` with every digit, also past
+    the digit limit of int-to-str conversion, which str refuses; output, not
+    messages, prints numbers through this.  The limit itself is left as it is."""
+    try:
+        return str(value)
+    except ValueError:
+        if type(value) is int:
+            from decimal import Decimal  # converts an int without that limit
+
+            return str(Decimal(value))
+        if value.denominator == 1:
+            return _str(value.numerator)
+        return f"{_str(value.numerator)}/{_str(value.denominator)}"
 
 
 class Record:

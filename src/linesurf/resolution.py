@@ -33,6 +33,7 @@ from typing import NamedTuple, Optional
 
 from .errors import BadMultiplicity, BadParameter, InternalCheckError, NotSymmetric, SingularMatrix
 from .hjcf import hj_expand, hj_summary, modular_beta
+from .record import _repr, _str
 
 CHAIN = "chain"
 STAR = "star"
@@ -49,7 +50,7 @@ class WeightData(NamedTuple):
     w3: int         # = r/g, the b' of beta * b' = -1 (mod alpha)
     N: int          # degree r*d/g
     beta: int       # modular inverse datum, 0 when w1 = 1
-    b: int          # central self-intersection weight
+    b: int          # central self-intersection weight g (1 + b'beta)/alpha
     genus0: int     # genus of the central curve
 
 
@@ -59,6 +60,8 @@ class ResolutionGraph(NamedTuple):
     central is (genus, weight) for the star shape, None otherwise.
     arms holds the weight chains root to tip; the chain shape stores its
     single run of weight-2 vertices as one "arm" with no central vertex.
+    A star with lambda = 0, which is r = d, is its central curve alone and
+    stores no arms.
     """
 
     r: int
@@ -115,18 +118,20 @@ def weight_data(r: int, d: int) -> WeightData:
     if not type(r) is type(d) is int:  # one chained test: profile reports call this often
         raise BadParameter(f"r and d must be ints, got {type(r).__name__} and {type(d).__name__}")
     if r < 2 or r > d:
-        raise BadMultiplicity(f"need 2 <= r <= d, got r={r}, d={d}")
+        raise BadMultiplicity(f"need 2 <= r <= d, got r={_repr(r)}, d={_repr(d)}")
     g = gcd(r, d)
     alpha = d // g
     bprime = r // g
     beta = modular_beta(alpha, bprime)
-    num = g * (1 + bprime * beta)
-    if num % alpha != 0:
-        raise InternalCheckError(f"central weight not integral for (r, d)=({r}, {d})")
+    # the package's one divisibility check, alpha | 1 + b'beta; b = g * quotient,
+    # and canonical_coefficients reads the quotient back as b // g
+    quotient, rem = divmod(1 + bprime * beta, alpha)
+    if rem != 0:
+        raise InternalCheckError(f"alpha does not divide 1 + b'beta for (r, d)=({r}, {d})")
     twice_genus = (r - 2) * (g - 1)
     if twice_genus % 2 != 0:
         raise InternalCheckError(f"central genus not integral for (r, d)=({r}, {d})")
-    return WeightData(r, d, g, alpha, bprime, r * d // g, beta, num // alpha, twice_genus // 2)
+    return WeightData(r, d, g, alpha, bprime, r * d // g, beta, g * quotient, twice_genus // 2)
 
 
 def build_resolution_graph(r: int, d: int) -> ResolutionGraph:
@@ -143,17 +148,18 @@ def build_resolution_graph(r: int, d: int) -> ResolutionGraph:
             raise InternalCheckError(f"blown-down root weight is not r for (r, d)=({r}, {d})")
         arm = (exp.terms[0] - 1,) + exp.terms[1:]
         return ResolutionGraph(r, d, BLOWN_DOWN_STAR, None, (arm,) * r)
-    return ResolutionGraph(r, d, STAR, (wd.genus0, wd.b), (exp.terms,) * r)
+    # lambda = 0 when r = d: the central curve alone, in O(log d) for any r
+    arms = (exp.terms,) * r if exp.terms else ()
+    return ResolutionGraph(r, d, STAR, (wd.genus0, wd.b), arms)
 
 
 def graph_size(r: int, d: int) -> int:
     """Vertices plus edges of ``build_resolution_graph(r, d)``, in O(log d)
-    steps without building it: d - 1 vertices for the chain and the
-    blown-down star, whose r arm roots also form a clique, and 1 + r*lambda
-    for the star, a tree."""
+    steps without building it: d - 1 vertices for the blown-down star, whose
+    r arm roots also form a clique, and 1 + r*lambda for the star, a tree.
+    A node, r = 2, takes one of the two by the parity of d, and either gives
+    its chain's d - 1 vertices and d - 2 edges."""
     wd = weight_data(r, d)
-    if r == 2:
-        return 2 * d - 3
     if d % r == 1:
         return (d - 1) + (d - 1 - r) + r * (r - 1) // 2
     vertices = 1 + r * hj_summary(wd.w1, wd.beta)[0]
@@ -283,12 +289,12 @@ def check_negative_definite(m) -> bool:
 
 def to_dot(graph: ResolutionGraph) -> str:
     """Deterministic DOT rendering of the dual graph."""
-    out = [f'graph "resolution_r{graph.r}_d{graph.d}" {{']
+    out = [f'graph "resolution_r{_str(graph.r)}_d{_str(graph.d)}" {{']
     names = []
     for name, genus, weight in graph.iter_vertices():
-        label = f"w={weight}"
+        label = f"w={_str(weight)}"
         if name == "c":
-            label += f" g={genus}"
+            label += f" g={_str(genus)}"
         out.append(f'  {name} [label="{label}"];')
         names.append(name)
     for i, j in graph.edge_list():

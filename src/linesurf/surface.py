@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .arrangement import Profile, is_pencil
-from .errors import InternalCheckError, NegativeHodgeNumber, ZeroSecondChern
+from .errors import BadParameter, InternalCheckError, NegativeHodgeNumber, ZeroSecondChern
 from .local import local_invariants
-from .record import Record, set_field
+from .record import Record, _repr, set_field
 
 
 class GlobalInvariants(Record):
@@ -87,7 +87,8 @@ def chern_numbers(p: Profile) -> tuple[int, int]:
 
 
 def my_tilde(p: Profile) -> int:
-    """Miyaoka-Yau number of the resolution, as the sum of per-point terms."""
+    """Miyaoka-Yau number of the resolution, as the sum of per-point terms;
+    ``global_invariants`` checks it against 3 c2 - c1^2."""
     return sum(c * local_invariants(r, p.d).e for r, c in p.t)
 
 
@@ -111,8 +112,8 @@ def verdict(p: Profile) -> Verdict:
     -(d-2).  With t_3 <= d(d-1)/6, c1^2 >= d[(d-4)^2 - d(d-1)/6] >= 14.
     """
     pencil = is_pencil(p)
-    c1sq, _ = chern_numbers(p)
-    my = my_tilde(p)
+    c1sq, c2 = chern_numbers(p)
+    my = 3 * c2 - c1sq
     my_sign = (my > 0) - (my < 0)
 
     if pencil and p.d == 3:
@@ -130,8 +131,10 @@ def verdict(p: Profile) -> Verdict:
 
 def hodge_diamond(p: Profile, q: int) -> HodgeDiamond:
     """Hodge numbers from (c1^2, c2, q) via Noether's formula."""
+    if type(q) is not int:
+        raise BadParameter(f"irregularity q must be an int, got {_repr(q)}")
     if q < 0:
-        raise NegativeHodgeNumber(f"irregularity q must be nonnegative, got {q}")
+        raise NegativeHodgeNumber(f"irregularity q must be nonnegative, got {_repr(q)}")
     c1sq, c2 = chern_numbers(p)
     # with t_2 eliminated, c1^2 + c2 is affine in the t_r: the generic
     # arrangement plus t_r times (one r-fold point, else general, minus
@@ -142,7 +145,7 @@ def hodge_diamond(p: Profile, q: int) -> HodgeDiamond:
     h11 = (5 * c2 - c1sq) // 6 + 2 * q
     if pg < 0 or h11 < 0:
         raise NegativeHodgeNumber(
-            f"(profile, q) pair is unrealizable: pg={pg}, h11={h11}")
+            f"(profile, q) pair is unrealizable: pg={_repr(pg)}, h11={_repr(h11)}")
     if 2 - 4 * q + 2 * pg + h11 != c2:
         raise InternalCheckError(f"Hodge numbers do not give c2 for {p}, q={q}")
     return HodgeDiamond(q, pg, h11)

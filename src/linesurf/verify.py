@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 from .errors import BadParameter, InternalCheckError
 from .local import canonical_coefficients, local_invariants
+from .record import _repr
 from .resolution import (
     BLOWN_DOWN_STAR,
     CHAIN,
@@ -116,7 +117,8 @@ def expected_vertex_coefficients(r: int, d: int) -> tuple[int, ...]:
 def sweep_verify(r_max: int, d_max: int) -> list[OracleReport]:
     """Compare oracle and closed forms over 2 <= r <= min(r_max, d) <= d <= d_max."""
     if not type(r_max) is type(d_max) is int or r_max < 2 or d_max < r_max:
-        raise BadParameter(f"need ints r_max >= 2 and d_max >= r_max, got ({r_max!r}, {d_max!r})")
+        raise BadParameter(f"need ints r_max >= 2 and d_max >= r_max, "
+                           f"got ({_repr(r_max)}, {_repr(d_max)})")
     reports = []
     for r in range(2, r_max + 1):
         for d in range(r, d_max + 1):

@@ -1,4 +1,4 @@
-"""Line parsing, profile extraction, catalog, and diagnostic tests."""
+"""Line parsing, profile extraction and catalog tests."""
 
 import random
 from collections import Counter
@@ -13,7 +13,6 @@ from linesurf import (
     Line,
     Profile,
     catalog_profile,
-    hirzebruch_diagnostic,
     is_pencil,
     parse_arrangement,
     profile_of,
@@ -410,18 +409,3 @@ class TestCatalog:
         with pytest.raises(BadParameter, match=f">= {minimum}"):
             catalog_profile(name, minimum - 1)
 
-
-class TestHirzebruchDiagnostic:
-    def test_not_applicable_for_pencils(self):
-        assert not hirzebruch_diagnostic(catalog_profile("pencil", 5).profile).applicable
-        assert not hirzebruch_diagnostic(catalog_profile("near-pencil", 6).profile).applicable
-
-    def test_hesse_is_tight(self):
-        diag = hirzebruch_diagnostic(catalog_profile("hesse").profile)
-        assert diag.applicable and diag.holds
-        assert diag.lhs == diag.rhs == 12
-
-    def test_generic_holds(self):
-        diag = hirzebruch_diagnostic(catalog_profile("generic", 8).profile)
-        assert diag.holds
-        assert diag.lhs == comb(8, 2) and diag.rhs == 8

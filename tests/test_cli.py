@@ -14,7 +14,16 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from linesurf import cli, hj_summary, local, local_invariants, resolution
+from linesurf import (
+    canonical_coefficients,
+    catalog_profile,
+    cli,
+    global_invariants,
+    hj_summary,
+    local,
+    local_invariants,
+    resolution,
+)
 from linesurf.arrangement import CATALOG
 from linesurf.cli import main
 from linesurf.errors import InternalCheckError
@@ -110,6 +119,13 @@ class TestInvariants:
         code, _, err = run(capsys, "invariants", "--profile", "--d", "5", "--t", "2=3")
         assert code == 2 and "UnbalancedProfile" in err
 
+    def test_unbalanced_profile_past_the_digit_limit(self, capsys):
+        # d(d-1)/2 has about 6000 digits: the message gives its bit length
+        code, out, err = run(capsys, "invariants", "--profile", "--d", "1" + "0" * 3000,
+                             "--t", "2=1")
+        assert (code, out) == (2, "")
+        assert err.startswith("UnbalancedProfile: ") and " bits>" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "invariants", "--input", "/nonexistent/zzz")
         assert code == 2
@@ -162,6 +178,75 @@ class TestInvariants:
         assert code == 2 and flag in err
 
 
+# the digit limit of int-to-str conversion; Python 3.10 before 3.10.7 has none
+digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift the limit for the test's own decimals, then restore it."""
+    limit = digit_limit()
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestDigitsPastTheLimit:
+    # d^3 and the Chern numbers pass the limit of 4300 digits; so do the
+    # numerator and denominator of the generic ratio (d-4)^2/(d^2-4d+6)
+    D = 10**1500 + 7
+
+    def decimals(self, *values):
+        with no_digit_limit():
+            return [str(v) for v in values]
+
+    @pytest.mark.parametrize("name, d", [("pencil", D), ("generic", 10**2200 + 7)])
+    def test_invariants_in_both_formats(self, capsys, name, d):
+        limit = digit_limit()
+        entry = catalog_profile(name, d)
+        gi = global_invariants(entry.profile)
+        keys = ("k2_bar", "chi_bar", "my_bar", "c1_sq", "c2", "my_tilde")
+        values = (gi.k2_bar, gi.chi_bar, gi.my_bar, gi.c1sq, gi.c2, gi.my_tilde)
+        ratio = gi.chern_ratio
+        d_text, *digits, num, den = self.decimals(d, *values, ratio.numerator, ratio.denominator)
+        (r, t_r), = entry.profile.t
+        r_text, t_text = self.decimals(r, t_r)
+        assert max(map(len, digits)) > 4300
+        assert name == "pencil" or min(len(num), len(den)) > 4300
+
+        code, out, _ = run(capsys, "invariants", "--catalog", name, "--d", d_text,
+                           "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["input"]["t"] == {r_text: t_r if t_r < 2**53 else t_text}
+        assert [payload[key] for key in keys] == digits
+        assert payload["chern_ratio"] == f"{num}/{den}"
+
+        code, out, _ = run(capsys, "invariants", "--catalog", name, "--d", d_text)
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[0] == f"input: catalog:{name}({d_text})  d={d_text}  t={{{r_text}: {t_text}}}"
+        assert lines[1:8] == [f"{key:10s} {value}" for key, value in zip(keys, digits)] + [
+            f"{'ratio':10s} {num if den == '1' else f'{num}/{den}'}"]
+        _, dci, dcii, dmy, e = self.decimals(*local_invariants(r, d)[1:])
+        assert lines[10] == f"{r_text:>3} {t_text:>4} {dci:>10} {dcii:>10} {dmy:>10} {e:>10}"
+        assert digit_limit() == limit
+
+    def test_local(self, capsys):
+        d = str(self.D)
+        code, out, _ = run(capsys, "local", "--r", d, "--d", d)
+        inv = local_invariants(self.D, self.D)
+        a0, = canonical_coefficients(self.D, self.D).values
+        payload = json.loads(out)
+        assert code == 0 and payload["shape"] == "star"
+        assert [payload[k] for k in ("r", "d", "dci", "dcii", "dmy", "e")] + payload[
+            "coefficients"] == self.decimals(*inv, a0)
+
+
 class TestGraph:
     def test_summary(self, capsys):
         code, out, _ = run(capsys, "graph", "--r", "3", "--d", "5")
@@ -185,6 +270,21 @@ class TestGraph:
         code, out, err = run(capsys, "graph", "--r", "3", "--d", "5", "--dot", "a\x00")
         assert (code, out) == (2, "") and err.startswith("BadParameter: --dot ")
 
+    def test_star_with_empty_arms(self, capsys):
+        code, out, _ = run(capsys, "graph", "--r", "4", "--d", "4")
+        assert (code, out) == (0, "shape: star\nvertices: 1\ncentral: genus=3 b=4\n"
+                                  "lambda: 0\narm weights: []\n")
+
+    @pytest.mark.parametrize("n", [10**9, sys.maxsize + 2])
+    def test_star_with_empty_arms_costs_no_arm_copies(self, capsys, n):
+        # one curve: no tuple of n arms, which at 10**9 would take gigabytes
+        # and past sys.maxsize cannot be made
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "graph", "--r", str(n), "--d", str(n))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (0, f"shape: star\nvertices: 1\ncentral: genus="
+                                  f"{(n - 2) * (n - 1) // 2} b={n}\nlambda: 0\narm weights: []\n")
+
     def test_failed_dot_write_prints_nothing(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.dot"
         code, out, err = run(capsys, "graph", "--r", "3", "--d", "5", "--dot", str(target))
@@ -192,11 +292,15 @@ class TestGraph:
 
 
 class TestGraphSizeCap:
-    # a resolution graph of about d/3 vertices per arm, and a chain of about
-    # 10^12: refused from their size, computed in O(log d), before building
+    # a resolution graph of about d/3 vertices per arm, a chain of about
+    # 10^12, and a blown-down star whose size has about 6000 digits, which
+    # the message gives as a bit length: refused from their size, computed in
+    # O(log d), before building
     @pytest.mark.parametrize("argv", [["local", "--r", "2", "--d", "1000000000000"],
                                       ["graph", "--r", "3", "--d", "4501500"],
-                                      ["graph", "--r", "3", "--d", "4501500", "--dot", "x.dot"]])
+                                      ["graph", "--r", "3", "--d", "4501500", "--dot", "x.dot"],
+                                      ["graph", "--r", "1" + "0" * 3000,
+                                       "--d", "1" + "0" * 2999 + "1"]])
     def test_huge_graph_refused_quickly(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         start = time.perf_counter()
@@ -253,7 +357,8 @@ class TestLocal:
         assert payload["coefficients"] == [-3, -2, -1]
 
     def test_internal_check_failure_exits_3(self, capsys, monkeypatch):
-        # a wrong modular inverse breaks the integrality check in weight_data
+        # a wrong modular inverse breaks alpha | 1 + b'beta, the package's one
+        # divisibility check, in weight_data
         monkeypatch.setattr(resolution, "modular_beta", lambda alpha, bprime: 0)
         code, out, err = run(capsys, "local", "--r", "3", "--d", "5")
         assert code == 3 and out == ""
@@ -280,13 +385,15 @@ class TestVerify:
 
     def test_fault_in_the_run_walk_is_caught(self, capsys, monkeypatch):
         # the closed forms read a wrong hj_summary; the oracle's graphs take
-        # their arms from hj_expand, so every star pair mismatches
+        # their arms from hj_expand, so every star pair mismatches, and so
+        # does every node with d even, which takes the star forms
         def wrong(alpha, beta):
             lam, total = hj_summary(alpha, beta)
             return lam + 1, total + 2
 
         monkeypatch.setattr(local, "hj_summary", wrong)
-        stars = [(3, 3), (3, 5), (3, 6), (3, 8), (4, 4), (4, 6), (4, 7), (4, 8)]
+        stars = [(2, 2), (2, 4), (2, 6), (2, 8),
+                 (3, 3), (3, 5), (3, 6), (3, 8), (4, 4), (4, 6), (4, 7), (4, 8)]
         code, out, _ = run(capsys, "verify", "--r-max", "4", "--d-max", "8")
         assert code == 1
         assert out.splitlines() == ["  r   d  coeffs  dci  dcii"] + [

@@ -65,9 +65,11 @@ class TestCanonicalCoefficients:
 
 class TestLocalInvariants:
     def test_node_row(self):
-        for d in range(2, 121):
+        # a node takes the blown-down-star forms for d odd and the star forms
+        # for d even; both must give the crepant A_{d-1} row
+        for d in [*range(2, 20001), 10**40, 10**40 + 1]:
             inv = local_invariants(2, d)
-            assert (inv.dci, inv.dcii) == (0, d - 1)
+            assert (inv.dci, inv.dcii) == (0, d - 1), d
             assert inv.e == inv.dmy + (d - 1)
 
     def test_divisible_row(self):

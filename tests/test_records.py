@@ -15,10 +15,11 @@ from linesurf import (
     canonical_coefficients,
     catalog_profile,
     global_invariants,
-    hirzebruch_diagnostic,
     hj_expand,
+    hj_summary,
     hodge_diamond,
     local_invariants,
+    modular_beta,
     parse_arrangement,
     sweep_verify,
     validate_profile,
@@ -26,7 +27,15 @@ from linesurf import (
     weight_data,
 )
 from linesurf.cli import main
-from linesurf.errors import BadParameter
+from linesurf.errors import (
+    BadMultiplicity,
+    BadParameter,
+    BetaOutOfRange,
+    LineSurfError,
+    NegativeHodgeNumber,
+    NotCoprime,
+    UnbalancedProfile,
+)
 
 HESSE = catalog_profile("hesse").profile
 
@@ -47,8 +56,6 @@ RECORDS = {
                      ("r", "d", "coefficients_match", "dci_match", "dcii_match",
                       "oracle_dci", "oracle_dcii")),
     "CatalogEntry": (lambda: catalog_profile("hesse"), ("name", "profile", "q")),
-    "HirzebruchDiagnostic": (lambda: hirzebruch_diagnostic(HESSE),
-                             ("applicable", "lhs", "rhs", "holds")),
 }
 
 
@@ -162,6 +169,34 @@ def test_repr_of_an_int_past_the_digit_limit():
     assert repr(parse_arrangement("1e4300 0 1\n0 1 0\n")) == (
         "Arrangement(lines=(Line(a=<int of 14285 bits>, b=0, c=1), Line(a=0, b=1, c=0)))")
     assert repr(Line(1, -(10 ** 4300), 0)) == "Line(a=1, b=<-int of 14285 bits>, c=0)"
+
+
+# each call takes a number that it refuses: an int past the digit limit of
+# int-to-str conversion, which the message must render through record._repr,
+# or a number that is no int
+BAD_NUMBERS = {
+    "weight_data-huge": (lambda: weight_data(10**4301, 5), BadMultiplicity),
+    "sweep_verify-huge": (lambda: sweep_verify(10**4301, 5), BadParameter),
+    "hj_expand-huge": (lambda: hj_expand(10**4400, 10**4400), BetaOutOfRange),
+    "modular_beta-huge": (lambda: modular_beta(10**4400, 2 * 10**4400), NotCoprime),
+    "validate_profile-huge": (lambda: validate_profile(10**3000, {2: 1}), UnbalancedProfile),
+    "hodge_diamond-huge": (lambda: hodge_diamond(HESSE, -10**4400), NegativeHodgeNumber),
+    "hodge_diamond-float": (lambda: hodge_diamond(HESSE, 1.5), BadParameter),
+    "hodge_diamond-bool": (lambda: hodge_diamond(HESSE, True), BadParameter),
+    "hj_expand-float": (lambda: hj_expand(2.5, 1), BadParameter),
+    "hj_summary-float": (lambda: hj_summary(5, 2.0), BadParameter),
+    "modular_beta-float": (lambda: modular_beta(5.0, 2), BadParameter),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_NUMBERS))
+def test_bad_number_ends_as_its_error(name):
+    call, error = BAD_NUMBERS[name]
+    assert issubclass(error, LineSurfError)
+    with pytest.raises(error) as info:
+        call()
+    if name.endswith("-huge"):
+        assert " bits>" in str(info.value)
 
 
 def test_plain_record_vars_keep_the_field_order(plain_record):

@@ -1,5 +1,6 @@
 """Resolution graph shapes, intersection matrices, and definiteness tests."""
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -93,8 +94,15 @@ class TestShapes:
     def test_star_with_empty_arms(self):
         # r = d: alpha = 1, no arm vertices, just the central curve
         g = build_resolution_graph(4, 4)
-        assert g.shape == STAR and g.lam == 0
+        assert g.shape == STAR and g.lam == 0 and g.arms == ()
         assert g.vertex_count == 1 and g.edge_list() == ()
+
+    @pytest.mark.parametrize("n", [10**9, sys.maxsize + 2])
+    def test_star_with_empty_arms_costs_no_arm_copies(self, n):
+        # the central curve alone, for an r that no tuple of r arms could hold
+        g = build_resolution_graph(n, n)
+        assert (g.shape, g.central, g.arms) == (STAR, ((n - 2) * (n - 1) // 2, n), ())
+        assert graph_size(n, n) == g.vertex_count == 1
 
     def test_blown_down_star(self):
         # d = 1 (mod r): arm root weight drops from r+1 to r
@@ -110,6 +118,14 @@ class TestShapes:
             for r in range(2, d + 1):
                 g = build_resolution_graph(r, d)
                 assert graph_size(r, d) == g.vertex_count + len(g.edge_list()), (r, d)
+
+    def test_graph_size_of_the_chain(self):
+        # graph_size reads a node as a blown-down star (d odd) or a star
+        # (d even); the chain it counts is built as a chain
+        for d in range(2, 2001):
+            g = build_resolution_graph(2, d)
+            assert g.shape == CHAIN
+            assert graph_size(2, d) == g.vertex_count + len(g.edge_list()), d
 
     def test_graph_size_without_building(self):
         # a star whose arms expand 1500500/1500499 into 1500499 2s, and a

@@ -16,6 +16,7 @@ from linesurf import (
     hodge_diamond,
     local_invariants,
     my_tilde,
+    surface,
     validate_profile,
     verdict,
 )
@@ -90,6 +91,25 @@ class TestVerdict:
             p = catalog_profile("near-pencil", d).profile
             assert my_tilde(p) == 4 * d * (d - 1)
             assert verdict(p).my_sign == 1
+
+    def test_sign_from_its_own_chern_numbers(self, monkeypatch):
+        # MY = 3 c2 - c1^2 from verdict's one chern_numbers call; the sum of
+        # E is my_tilde's, and global_invariants checks one against the other
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return chern_numbers(p)
+
+        def refuse(p):
+            pytest.fail("verdict called my_tilde")
+
+        monkeypatch.setattr(surface, "chern_numbers", counted)
+        monkeypatch.setattr(surface, "my_tilde", refuse)
+        for name, param, sign in (("pencil", 5, -1), ("pencil", 3, 0), ("hesse", None, 1)):
+            p = catalog_profile(name, param).profile
+            calls.clear()
+            assert verdict(p).my_sign == sign and calls == [p]
 
     def test_d3_pencil(self):
         v = verdict(catalog_profile("pencil", 3).profile)
