@@ -13,7 +13,7 @@ Two branches, mirroring the resolution shapes:
 
 A node, r = 2, falls into these branches by the parity of d, and both give its
 crepant row DCI = 0, DCII = d - 1 (for d even, g = b = 2 and the arm is all
-2s); the chain shape remains an output of graphs and ``canonical_coefficients``.
+2s).
 
 The quadruple (DCI, DCII, DMY, E) records the changes in c_1^2, the Euler
 number, the Miyaoka-Yau number, and the per-point Miyaoka-Yau contribution
@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .errors import InternalCheckError
 from .hjcf import hj_expand, hj_summary
-from .resolution import BLOWN_DOWN_STAR, CHAIN, STAR, weight_data
+from .resolution import BLOWN_DOWN_STAR, STAR, weight_data
 
 
 class CanonicalCoefficients(NamedTuple):
@@ -37,7 +37,6 @@ class CanonicalCoefficients(NamedTuple):
 
     Star: (a_0, a_1, ..., a_lambda) with a_0 on the central curve.
     Blown-down star: (a_1, ..., a_lambda).
-    Chain (r = 2): one zero per vertex.
     """
 
     r: int
@@ -57,8 +56,6 @@ class LocalInvariants(NamedTuple):
 
 def canonical_coefficients(r: int, d: int) -> CanonicalCoefficients:
     wd = weight_data(r, d)
-    if r == 2:
-        return CanonicalCoefficients(r, d, CHAIN, (0,) * (d - 1))
     if d % r == 1:
         lam = (d - 1) // r
         values = tuple(-(r - 2) * (lam + 1 - k) for k in range(1, lam + 1))

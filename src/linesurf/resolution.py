@@ -5,8 +5,9 @@ The weighted-homogeneous resolution is a star: a central curve of genus
 weights are the continued fraction terms of alpha/beta.  The star is already
 minimal unless d = 1 (mod r), in which case the central curve is a (-1)-curve
 and blowing it down leaves r chains whose roots are pairwise adjacent, with
-the root weight dropped by one.  For r = 2 the germ is an A_{d-1} singularity
-and we emit its chain directly.
+the root weight dropped by one.  A node, r = 2, is the A_{d-1} singularity and
+takes the same two shapes by the parity of d: for d even a genus-0 centre of
+weight 2 with two arms of 2s, for d odd two arms of 2s whose roots meet.
 
 ``WeightData`` and ``ResolutionGraph`` are NamedTuples, built on every
 local-invariant and graph call.
@@ -35,7 +36,6 @@ from .errors import BadMultiplicity, BadParameter, InternalCheckError, NotSymmet
 from .hjcf import hj_expand, hj_summary, modular_beta
 from .record import _repr, _str
 
-CHAIN = "chain"
 STAR = "star"
 BLOWN_DOWN_STAR = "blown_down_star"
 
@@ -55,13 +55,11 @@ class WeightData(NamedTuple):
 
 
 class ResolutionGraph(NamedTuple):
-    """Dual graph of the minimal resolution, one of three shapes.
+    """Dual graph of the minimal resolution, a star or a blown-down star.
 
     central is (genus, weight) for the star shape, None otherwise.
-    arms holds the weight chains root to tip; the chain shape stores its
-    single run of weight-2 vertices as one "arm" with no central vertex.
-    A star with lambda = 0, which is r = d, is its central curve alone and
-    stores no arms.
+    arms holds the weight chains root to tip.  A star with lambda = 0, which
+    is r = d, is its central curve alone and stores no arms.
     """
 
     r: int
@@ -72,7 +70,7 @@ class ResolutionGraph(NamedTuple):
 
     @property
     def lam(self) -> int:
-        """Arm length (the chain length for the r = 2 shape)."""
+        """Arm length, the number of vertices on each arm."""
         return len(self.arms[0]) if self.arms else 0
 
     @property
@@ -136,14 +134,12 @@ def weight_data(r: int, d: int) -> WeightData:
 
 def build_resolution_graph(r: int, d: int) -> ResolutionGraph:
     """Build the minimal dual graph, blowing the central vertex down when
-    d = 1 (mod r) with r >= 3; r = 2 always yields the A_{d-1} chain."""
+    d = 1 (mod r)."""
     wd = weight_data(r, d)
-    if r == 2:
-        return ResolutionGraph(r, d, CHAIN, None, ((2,) * (d - 1),))
     exp = hj_expand(wd.w1, wd.beta)
     if d % r == 1:
         # here w1 = d, w3 = r, beta = (d-1)/r and n_1 = r+1, so the
-        # blown-down root weight r stays >= 3: no cascading blow-downs
+        # blown-down root weight r >= 2 is no (-1)-curve: no cascading blow-downs
         if not exp.terms or exp.terms[0] != r + 1:
             raise InternalCheckError(f"blown-down root weight is not r for (r, d)=({r}, {d})")
         arm = (exp.terms[0] - 1,) + exp.terms[1:]
@@ -158,7 +154,7 @@ def graph_size(r: int, d: int) -> int:
     steps without building it: d - 1 vertices for the blown-down star, whose
     r arm roots also form a clique, and 1 + r*lambda for the star, a tree.
     A node, r = 2, takes one of the two by the parity of d, and either gives
-    its chain's d - 1 vertices and d - 2 edges."""
+    the A_{d-1} path: d - 1 vertices and d - 2 edges."""
     wd = weight_data(r, d)
     if d % r == 1:
         return (d - 1) + (d - 1 - r) + r * (r - 1) // 2

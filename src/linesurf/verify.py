@@ -23,7 +23,6 @@ from .local import canonical_coefficients, local_invariants
 from .record import _repr
 from .resolution import (
     BLOWN_DOWN_STAR,
-    CHAIN,
     STAR,
     ResolutionGraph,
     build_resolution_graph,
@@ -107,11 +106,7 @@ def expected_vertex_coefficients(r: int, d: int) -> tuple[int, ...]:
     cc = canonical_coefficients(r, d)
     if cc.shape == STAR:
         return (cc.values[0],) + cc.values[1:] * r
-    if cc.shape == BLOWN_DOWN_STAR:
-        return cc.values * r
-    if cc.shape != CHAIN:
-        raise InternalCheckError(f"unknown shape {cc.shape!r} for (r, d)=({r}, {d})")
-    return cc.values
+    return cc.values * r
 
 
 def sweep_verify(r_max: int, d_max: int) -> list[OracleReport]:

