@@ -1,7 +1,8 @@
 """Command-line interface: invariants, graph, local, verify, catalog.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error,
-3 failed internal check (a bug in linesurf, reported on one stderr line).
+3 failed internal check (a bug in linesurf, reported on one stderr line),
+141 the reader closed stdout early (128 + SIGPIPE, with nothing on stderr).
 JSON output is deterministic (sorted keys); integers whose magnitude exceeds
 2^53 are serialized as decimal strings so downstream double-based JSON
 parsers cannot corrupt them.  Both formats print every integer exactly, also
@@ -291,6 +292,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader closed stdout; the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process killed by it
     except (LineSurfError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -1,19 +1,16 @@
 """Closed-form local invariants of a single singularity G_r(u, v) + t^d = 0.
 
-Two branches, mirroring the resolution shapes:
-
-  d = 1 (mod r)      blown-down star; discrepancies are the arithmetic
-                     progression a_k = -(r-2)(lambda+1-k).
-  otherwise          star; a_0, a_1 and a_lambda have closed forms and the
-                     interior entries follow the three-term recurrence of the
-                     adjunction system, which is re-verified before returning.
-                     DCI and DCII read only the arm length lambda and the
-                     term sum of alpha/beta, from ``hj_summary`` in
-                     O(log d) steps.
-
-A node, r = 2, falls into these branches by the parity of d, and both give its
-crepant row DCI = 0, DCII = d - 1 (for d even, g = b = 2 and the arm is all
-2s).
+One derivation for every pair: on the weighted-homogeneous star, a_0, a_1 and
+a_lambda have closed forms and the interior entries follow the three-term
+recurrence of the adjunction system, which is re-verified before returning.
+When d = 1 (mod r) the centre E_0 is a (-1)-curve (central weight b = 1), and
+contracting it gives the minimal blown-down star; as K_{X'} = pi*K_X + E_0,
+the other coefficients do not change, so that shape keeps (a_1, ..., a_lambda),
+the progression a_k = -(r-2)(lambda+1-k).  DCI and DCII of a star read only
+the arm length lambda and the term sum of alpha/beta, from ``hj_summary`` in
+O(log d) steps; the blown-down star takes its row in O(1).  A node, r = 2,
+is one of the two shapes by the parity of d, and both give its crepant row
+DCI = 0, DCII = d - 1.
 
 The quadruple (DCI, DCII, DMY, E) records the changes in c_1^2, the Euler
 number, the Miyaoka-Yau number, and the per-point Miyaoka-Yau contribution
@@ -56,11 +53,6 @@ class LocalInvariants(NamedTuple):
 
 def canonical_coefficients(r: int, d: int) -> CanonicalCoefficients:
     wd = weight_data(r, d)
-    if d % r == 1:
-        lam = (d - 1) // r
-        values = tuple(-(r - 2) * (lam + 1 - k) for k in range(1, lam + 1))
-        _check_blown_down_system(r, d, lam, values)
-        return CanonicalCoefficients(r, d, BLOWN_DOWN_STAR, values)
     exp = hj_expand(wd.w1, wd.beta)
     lam = exp.length
     a0 = (2 - r) * wd.w1 + wd.w3 - 1
@@ -73,12 +65,17 @@ def canonical_coefficients(r: int, d: int) -> CanonicalCoefficients:
         if vals[-1] != -(r - 2):
             raise InternalCheckError(f"tail coefficient is not -(r-2) for (r, d)=({r}, {d})")
     _check_star_system(wd, exp.terms, vals)
+    if d % r == 1:
+        # E_0 is a (-1)-curve and K_{X'} = pi*K_X + E_0: contracting it drops a_0 only
+        return CanonicalCoefficients(r, d, BLOWN_DOWN_STAR, tuple(vals[1:]))
     return CanonicalCoefficients(r, d, STAR, tuple(vals))
 
 
 def local_invariants(r: int, d: int) -> LocalInvariants:
     wd = weight_data(r, d)
     if d % r == 1:
+        # the star's row plus the contraction's (+1, -1), in O(1); reading the star
+        # forms here instead costs odd-d nodes an hj_summary call on every report
         dci = -(d - 1) * (r - 2) ** 2
         dcii = d - 1
     else:
@@ -104,13 +101,3 @@ def _check_star_system(wd, terms, vals) -> None:
         if -n_k * a[k] + a[k - 1] + a[k + 1] != n_k - 2:
             raise InternalCheckError(f"arm equation {k} fails for (r, d)=({r}, {wd.d})")
 
-
-def _check_blown_down_system(r, d, lam, values) -> None:
-    """Residual check after blowing the central curve down; the root equation
-    picks up (r-1) copies of a_1 from the pairwise-adjacent roots."""
-    a = list(values) + [0]
-    if -r * a[0] + (a[1] if lam >= 2 else 0) + (r - 1) * a[0] != r - 2:
-        raise InternalCheckError(f"root equation fails for (r, d)=({r}, {d})")
-    for k in range(2, lam + 1):
-        if -2 * a[k - 1] + a[k - 2] + a[k] != 0:
-            raise InternalCheckError(f"arm equation {k} fails for (r, d)=({r}, {d})")

@@ -529,3 +529,17 @@ def test_checks_survive_python_O():
     plain, optimized = _cli_process(*argv), _cli_process(*argv, optimize=True)
     assert plain.returncode == optimized.returncode == 0
     assert optimized.stdout == plain.stdout and b'"c1_sq": 336' in plain.stdout
+
+
+def test_closed_stdout_ends_quietly():
+    # 175 KB of output overflows any pipe buffer, so the write after the
+    # reader closes its end raises BrokenPipeError in main
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen([sys.executable, "-c", ENTRY, "local", "--r", "2", "--d", "50001"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -45,6 +45,16 @@ class TestCanonicalCoefficients:
         assert cc.values == (-2, -1)
         cc = canonical_coefficients(4, 13)
         assert cc.values == (-6, -4, -2)
+        # the star's coefficients with a_0 dropped form the arithmetic
+        # progression a_k = -(r-2)(lambda+1-k) on every blown-down pair
+        for d in range(3, 301):
+            for r in range(2, d):
+                if d % r == 1:
+                    lam = (d - 1) // r
+                    progression = tuple(-(r - 2) * (lam + 1 - k) for k in range(1, lam + 1))
+                    cc = canonical_coefficients(r, d)
+                    assert cc.shape == BLOWN_DOWN_STAR, (r, d)
+                    assert cc.values == progression, (r, d)
 
     @given(rd_pairs)
     def test_tail_value(self, pair):
@@ -82,7 +92,7 @@ class TestLocalInvariants:
 
     def test_one_more_row(self):
         for r in range(3, 11):
-            for d in range(r + 1, 121, r):
+            for d in [*range(r + 1, 121, r), r * 10**40 + 1]:
                 inv = local_invariants(r, d)
                 assert inv.dci == -(d - 1) * (r - 2) ** 2
                 assert inv.dcii == d - 1
@@ -122,11 +132,16 @@ class TestLocalInvariants:
                 assert local_invariants(r, d).dci == dci, (r, d)
 
     def test_stars_match_expansion_formula(self):
-        for d in range(3, 201):
-            for r in range(3, d + 1):
-                if d % r != 1:
-                    inv = local_invariants(r, d)
-                    assert (inv.dci, inv.dcii) == expansion_star_invariants(r, d), (r, d)
+        # on d = 1 (mod r) the O(1) blown-down row is the star's before the
+        # contraction of its (-1)-centre, which adds 1 to c_1^2 and removes 1
+        # from the Euler number
+        for d in range(2, 201):
+            for r in range(2, d + 1):
+                dci, dcii = expansion_star_invariants(r, d)
+                if d % r == 1:
+                    dci, dcii = dci + 1, dcii - 1
+                inv = local_invariants(r, d)
+                assert (inv.dci, inv.dcii) == (dci, dcii), (r, d)
 
     def test_huge_degree(self):
         # lambda is about 10**40 here, so only the run-skipping summary can

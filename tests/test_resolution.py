@@ -246,10 +246,11 @@ class TestIntersectionMatrix:
 
 class TestStarCriterion:
     def test_blown_down_central_weight_is_one(self):
-        for d in range(4, 61):
-            for r in range(3, d):
-                if d % r == 1:
-                    assert weight_data(r, d).b == 1, (r, d)
+        # the centre is a (-1)-curve exactly on the blown-down pairs, the fact
+        # that lets canonical_coefficients contract it by dropping a_0
+        for d in range(2, 201):
+            for r in range(2, d + 1):
+                assert (weight_data(r, d).b == 1) == (d % r == 1), (r, d)
 
     def test_agrees_with_elimination_off_the_graphs(self):
         # lowering the central weight by one makes some stars indefinite; the
