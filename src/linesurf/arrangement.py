@@ -5,10 +5,13 @@ rational coefficients.  Each line is stored as its primitive integer triple:
 denominators cleared, gcd 1, first nonzero entry positive, so two lines are
 equal exactly when they are the same projective line.  Its combinatorial
 profile records, for each multiplicity r >= 2, the number t_r of points lying
-on exactly r lines; ``profile_of`` finds the points as primitive integer cross
-products.  The profile is all that the downstream invariant machinery
-consumes, so named arrangements whose natural coordinates are not rational
-(Hesse, Ceva) enter through a catalog of profiles instead of coordinates.
+on exactly r lines.  ``profile_of`` groups the later lines through each point
+of each line by two coordinates of the integer cross product, which the
+line's equation completes; a point on r lines forms one group of each size
+1, ..., r - 1, so t_r = n_{r-1} - n_r for n_s groups of size s.  The profile
+is all that the downstream invariant machinery consumes, so named
+arrangements whose natural coordinates are not rational (Hesse, Ceva) enter
+through a catalog of profiles instead of coordinates.
 
 This module owns profile input: a ``Profile`` checks its own ranges and the
 pair-count identity when it is built, so every profile is balanced, and
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, lcm
 from typing import Callable, NamedTuple, Optional
 
 from .errors import (
@@ -51,12 +54,17 @@ class Line(Record):
         set_field(self, "a", a)
         set_field(self, "b", b)
         set_field(self, "c", c)
-        if gcd(a, b, c) != 1 or (a or b or c) < 0:
+        if not type(a) is type(b) is type(c) is int or gcd(a, b, c) != 1 or (a or b or c) < 0:
             raise BadParameter(f"{self} is not a primitive integer triple; use Line.of")
 
     @classmethod
     def of(cls, a, b, c) -> "Line":
-        return cls(*_primitive([(v.numerator, v.denominator) for v in map(Fraction, (a, b, c))]))
+        try:
+            coeffs = [Fraction(v) for v in (a, b, c)]
+        except (TypeError, ValueError, OverflowError):
+            raise BadParameter(f"coefficients must be rational, got "
+                               f"{_repr(a)}, {_repr(b)}, {_repr(c)}") from None
+        return cls(*_primitive([(v.numerator, v.denominator) for v in coeffs]))
 
 
 def _primitive(coeffs) -> tuple[int, int, int]:
@@ -78,11 +86,17 @@ class Arrangement(Record):
     _fields = ("lines",)
 
     def __init__(self, lines: tuple[Line, ...]):
+        try:
+            lines = tuple(lines)
+        except TypeError:
+            raise BadParameter(f"lines must be an iterable of Line, got {_repr(lines)}") from None
         set_field(self, "lines", lines)
         if len(lines) < 2:
             raise TooFewLines(f"need at least 2 lines, got {len(lines)}")
         seen: dict[Line, int] = {}
         for i, line in enumerate(lines):
+            if type(line) is not Line:
+                raise BadParameter(f"line {i + 1} is not a Line: {_repr(line)}")
             if line in seen:
                 raise DuplicateLine(f"lines {seen[line] + 1} and {i + 1} coincide")
             seen[line] = i
@@ -189,22 +203,37 @@ def _rational(tok: str, lineno: int) -> tuple[int, int]:
 
 
 def profile_of(arr: Arrangement) -> Profile:
-    """Count each pair's intersection point, the primitive integer cross
-    product of the two lines; a point on r lines is met by r(r-1)/2 pairs."""
-    lines = [(line.a, line.b, line.c) for line in arr.lines]
-    pairs = Counter(_points(lines))
-    counts = Counter((1 + isqrt(1 + 8 * n)) // 2 for n in pairs.values())
-    return validate_profile(arr.d, dict(counts))
+    """Count the points of the arrangement by multiplicity from its lines.
+
+    Line i meets each later line j in the point P = L_i x L_j.  If k is the
+    first index where L_i is nonzero, L_i . P = 0 gives P_k from the other two
+    coordinates (u, v), which are not both zero as the lines are distinct.
+    So (u, v), made primitive with its first nonzero entry positive, fixes P
+    among the points of line i, and the pair counts under the key (i, u, v).
+    A point on r lines is met from its first r - 1 lines in groups of r - 1,
+    r - 2, ..., 1 later lines, so with n_s groups of size s,
+    t_r = n_{r-1} - n_r.
+    """
+    groups = Counter(_meeting_keys([(line.a, line.b, line.c) for line in arr.lines]))
+    n = Counter(groups.values())
+    return validate_profile(arr.d, {r: n[r - 1] - n[r] for r in range(2, max(n) + 2)
+                                    if n[r - 1] != n[r]})
 
 
-def _points(lines):
-    for i, (a1, b1, c1) in enumerate(lines):
-        for a2, b2, c2 in lines[i + 1:]:
-            x, y, z = b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2
-            g = gcd(x, y, z)
-            if (x or y or z) < 0:
+def _meeting_keys(lines):
+    # line i reads the lines in the cyclic shift that takes its k to index 0;
+    # a cyclic shift commutes with the cross product, so (u, v) are the
+    # shifted P's last two coordinates, four products in all
+    rotations = (lines, [(b, c, a) for a, b, c in lines], [(c, a, b) for a, b, c in lines])
+    for i, (a, b, _) in enumerate(lines):
+        rotated = rotations[0 if a else 1 if b else 2]
+        a1, b1, c1 = rotated[i]
+        for a2, b2, c2 in rotated[i + 1:]:
+            u, v = c1 * a2 - a1 * c2, a1 * b2 - b1 * a2
+            g = gcd(u, v)
+            if (u or v) < 0:
                 g = -g
-            yield (x // g, y // g, z // g)
+            yield i, u // g, v // g
 
 
 def validate_profile(d: int, t: dict) -> Profile:

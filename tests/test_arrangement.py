@@ -3,7 +3,9 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb, lcm
+from operator import mul
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -104,7 +106,7 @@ class TestLine:
         assert Line.of(Fraction(1, 2), Fraction(1, 3), 0) == Line(3, 2, 0)
         assert Line.of(0, -3, 9) == Line(0, 1, -3)
         assert all(type(v) is int for v in (Line.of(Fraction(-4, 6), 2, 0).a, Line.of(1, 1, 1).c))
-        with pytest.raises(TypeError):
+        with pytest.raises(BadParameter):
             Line(Fraction(1), 0, 0)
 
     @pytest.mark.parametrize("coeffs", [(2, 0, 0), (-1, 0, 0), (0, 0, 0)])
@@ -115,6 +117,27 @@ class TestLine:
     def test_zero_form(self):
         with pytest.raises(ZeroForm):
             Line.of(0, 0, 0)
+
+    @pytest.mark.parametrize("value", [1.5, "1", None, True])
+    def test_refuses_non_int_coefficient(self, value):
+        with pytest.raises(BadParameter, match="not a primitive integer triple"):
+            Line(value, 0, 0)
+
+    @pytest.mark.parametrize("value", ["x", float("nan"), float("inf"), None])
+    def test_of_refuses_non_rational(self, value):
+        with pytest.raises(BadParameter, match="coefficients must be rational"):
+            Line.of(value, 0, 0)
+
+    def test_arrangement_refuses_non_line(self):
+        with pytest.raises(BadParameter, match=r"line 2 is not a Line: \(0, 1, 0\)"):
+            Arrangement((Line(1, 0, 0), (0, 1, 0)))
+        with pytest.raises(BadParameter, match="lines must be an iterable of Line"):
+            Arrangement(None)
+
+    def test_arrangement_stores_a_tuple(self):
+        arr = Arrangement([Line(1, 0, 0), Line(0, 1, 0)])
+        assert arr.lines == (Line(1, 0, 0), Line(0, 1, 0))
+        assert hash(arr) == hash(Arrangement((Line(1, 0, 0), Line(0, 1, 0))))
 
 
 class TestParse:
@@ -216,6 +239,27 @@ class TestProfile:
         # x, y, z, x - y, y - z, x - z: four triple points, three double points
         arr = parse_arrangement("1 0 0\n0 1 0\n0 0 1\n1 -1 0\n0 1 -1\n1 0 -1\n")
         assert profile_of(arr).t == ((2, 3), (3, 4))
+
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    @pytest.mark.parametrize("centre", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    def test_pencil_through_each_centre(self, centre, d):
+        # d lines through the centre, those with more zero coefficients first,
+        # so that over the centres a line's first nonzero coefficient sits at
+        # each index
+        through = {Line.of(*row) for row in product(range(-3, 4), repeat=3)
+                   if any(row) and sum(map(mul, row, centre)) == 0}
+        rows = sorted(((line.a, line.b, line.c) for line in through),
+                      key=lambda row: (row.count(0), row), reverse=True)
+        assert profile_of(Arrangement(tuple(Line(*row) for row in rows[:d]))).t == ((d, 1),)
+
+    @given(st.data())
+    def test_matches_fraction_grouping_on_small_coefficients(self, data):
+        coeff = st.one_of(st.just(0), st.integers(-3, 3))
+        rows = data.draw(st.lists(st.tuples(coeff, coeff, coeff).filter(any), min_size=2,
+                                  max_size=25, unique_by=lambda row: Line.of(*row)))
+        rows = [tuple(map(Fraction, row)) for row in data.draw(st.permutations(rows))]
+        arr = Arrangement(tuple(Line.of(*row) for row in rows))
+        assert dict(profile_of(arr).t) == _fraction_profile(rows)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_fraction_grouping(self, seed):

@@ -1,5 +1,6 @@
 """Smoke tests of the scripts: each runs as its own process on the source tree."""
 
+import json
 import os
 import subprocess
 import sys
@@ -67,3 +68,17 @@ def test_local_table_residue():
     for row in rows:
         r, d, *quadruple = map(int, row)
         assert tuple(quadruple) == local_invariants(r, d)[2:], (r, d)
+
+
+def test_profile_of_timing():
+    done = run_process("profile_of_timing.py", "--passes", "2", "--random-lines", "6",
+                       "--hostile-lines", "4")
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    report = json.loads(done.stdout)
+    assert (report["passes"], report["seed"]) == (2, 0)
+    for name, d in (("random", 6), ("hostile", 4)):
+        timing = report[name]
+        assert timing["lines"] == d
+        assert 0 < timing["min_s"] <= timing["median_s"]
+        # the profile is balanced: every pair of lines meets in one point
+        assert sum(comb(int(r), 2) * count for r, count in timing["t"].items()) == comb(d, 2)
