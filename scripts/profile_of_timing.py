@@ -4,7 +4,8 @@
 The inputs are built once, parsed once, and then profile_of runs --passes
 times on each; only those calls are timed.  The two files are
   * random: --random-lines distinct lines with integer coefficients in
-    [-100, 100], almost all of whose points are nodes;
+    [-100, 100], almost all of whose points are nodes, from the generator of
+    the benchmark's profile_of_400_random_lines_s reference point;
   * hostile: --hostile-lines lines of <50 digits>e+4200 or <50 digits>e-4200
     tokens, whose primitive triples run to about 28,000 bits, so the time
     goes into big-integer products and gcds.
@@ -20,24 +21,21 @@ import argparse
 import json
 import random
 import statistics
+import sys
 import time
+from pathlib import Path
 
-from linesurf import Line, parse_arrangement, profile_of
+from linesurf import parse_arrangement, profile_of
 
-DIGITS, EXPONENT = 50, 4200
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import random_lines_text
 
-
-def random_text(n: int, rng: random.Random) -> str:
-    """n lines, distinct as projective lines, in a seeded order."""
-    lines: dict = {}
-    while len(lines) < n:
-        row = [rng.randint(-100, 100) for _ in range(3)]
-        if any(row):
-            lines.setdefault(Line.of(*row), row)
-    return "".join(f"{a} {b} {c}\n" for a, b, c in lines.values())
+DIGITS, EXPONENT, SEED = 50, 4200, 0
 
 
-def hostile_text(n: int, rng: random.Random) -> str:
+def hostile_text(n: int) -> str:
+    rng = random.Random(SEED)
+
     def token():
         mantissa = str(rng.randrange(10 ** (DIGITS - 1), 10 ** DIGITS))
         return f"{rng.choice('+-')}{mantissa}e{rng.choice('+-')}{EXPONENT}"
@@ -61,15 +59,13 @@ def main() -> int:
     parser.add_argument("--passes", type=int, default=5)
     parser.add_argument("--random-lines", type=int, default=400)
     parser.add_argument("--hostile-lines", type=int, default=40)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     if args.passes < 1 or args.random_lines < 2 or args.hostile_lines < 2:
         parser.error("--passes must be >= 1 and each line count >= 2")
 
-    rng = random.Random(args.seed)
-    texts = {"random": random_text(args.random_lines, rng),
-             "hostile": hostile_text(args.hostile_lines, rng)}
-    report = {"passes": args.passes, "seed": args.seed}
+    texts = {"random": random_lines_text(args.random_lines, SEED),
+             "hostile": hostile_text(args.hostile_lines)}
+    report = {"passes": args.passes}
     report.update((name, timing(text, args.passes)) for name, text in texts.items())
     print(json.dumps(report, indent=1))
     return 0

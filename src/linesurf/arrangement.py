@@ -61,7 +61,7 @@ class Line(Record):
     def of(cls, a, b, c) -> "Line":
         try:
             coeffs = [Fraction(v) for v in (a, b, c)]
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             raise BadParameter(f"coefficients must be rational, got "
                                f"{_repr(a)}, {_repr(b)}, {_repr(c)}") from None
         return cls(*_primitive([(v.numerator, v.denominator) for v in coeffs]))

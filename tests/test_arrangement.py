@@ -123,7 +123,7 @@ class TestLine:
         with pytest.raises(BadParameter, match="not a primitive integer triple"):
             Line(value, 0, 0)
 
-    @pytest.mark.parametrize("value", ["x", float("nan"), float("inf"), None])
+    @pytest.mark.parametrize("value", ["x", "1/0", float("nan"), float("inf"), None])
     def test_of_refuses_non_rational(self, value):
         with pytest.raises(BadParameter, match="coefficients must be rational"):
             Line.of(value, 0, 0)
@@ -252,15 +252,6 @@ class TestProfile:
                       key=lambda row: (row.count(0), row), reverse=True)
         assert profile_of(Arrangement(tuple(Line(*row) for row in rows[:d]))).t == ((d, 1),)
 
-    @given(st.data())
-    def test_matches_fraction_grouping_on_small_coefficients(self, data):
-        coeff = st.one_of(st.just(0), st.integers(-3, 3))
-        rows = data.draw(st.lists(st.tuples(coeff, coeff, coeff).filter(any), min_size=2,
-                                  max_size=25, unique_by=lambda row: Line.of(*row)))
-        rows = [tuple(map(Fraction, row)) for row in data.draw(st.permutations(rows))]
-        arr = Arrangement(tuple(Line.of(*row) for row in rows))
-        assert dict(profile_of(arr).t) == _fraction_profile(rows)
-
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_fraction_grouping(self, seed):
         rows = _random_rows(seed)
@@ -284,15 +275,20 @@ def _cross(p, q):
 
 
 def _random_rows(seed):
-    """Distinct lines as rational triples: three concurrent families, one
-    through a point at infinity (z = 0), plus free lines, each row scaled by a
-    non-integral rational of random sign."""
+    """Distinct lines as rational triples in a shuffled order: three concurrent
+    families, one through a point at infinity (z = 0), free lines, and lines
+    with coefficients in -3..3 and zeros favoured, so that some rows start
+    with one or two zeros; each row scaled by a non-integral rational of
+    random sign."""
     rng = random.Random(seed)
     centres = [(1, rng.randint(-3, 3), 0)] + [
         (rng.randint(-3, 3), rng.randint(-3, 3), 1) for _ in range(2)]
     rows = [_cross(centre, [rng.randint(-4, 4) for _ in range(3)])
             for centre in centres for _ in range(rng.randint(2, 6))]
     rows += [[rng.randint(-4, 4) for _ in range(3)] for _ in range(rng.randint(2, 10))]
+    rows += [[rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(3)]
+             for _ in range(rng.randint(2, 8))]
+    rng.shuffle(rows)
     seen, out = set(), []
     for row in rows:
         if not any(row):
