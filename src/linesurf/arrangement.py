@@ -22,6 +22,7 @@ summaries.
 from __future__ import annotations
 
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Callable, NamedTuple, Optional
@@ -38,8 +39,9 @@ from .errors import (
 )
 from .record import Record, _repr, _str, set_field
 
-# Largest decimal exponent magnitude a token may carry: Fraction("1e<k>")
-# builds 10**k, so k is held to the default digit limit of int(str).
+# Largest decimal exponent magnitude a token or a Line.of coefficient may
+# carry: Fraction("1e<k>") builds 10**k, so k is held to the default digit
+# limit of int(str).
 MAX_EXPONENT = 4300
 
 
@@ -60,11 +62,26 @@ class Line(Record):
     @classmethod
     def of(cls, a, b, c) -> "Line":
         try:
+            if any(map(_exponent_exceeds, (a, b, c))):
+                raise BadParameter(f"a coefficient's decimal exponent exceeds {MAX_EXPONENT} "
+                                   f"in magnitude, got {_repr(a)}, {_repr(b)}, {_repr(c)}")
             coeffs = [Fraction(v) for v in (a, b, c)]
         except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             raise BadParameter(f"coefficients must be rational, got "
                                f"{_repr(a)}, {_repr(b)}, {_repr(c)}") from None
         return cls(*_primitive([(v.numerator, v.denominator) for v in coeffs]))
+
+
+def _exponent_exceeds(value) -> bool:
+    """True if ``Fraction(value)`` would expand a decimal exponent beyond
+    MAX_EXPONENT in magnitude: the part after 'e' of a str, or the exponent
+    of a finite Decimal.  An exponent that ``int()`` refuses raises ValueError."""
+    if isinstance(value, Decimal):
+        return value.is_finite() and abs(value.as_tuple().exponent) > MAX_EXPONENT
+    if isinstance(value, str):
+        _, e, exponent = value.lower().partition("e")
+        return bool(e) and abs(int(exponent)) > MAX_EXPONENT
+    return False
 
 
 def _primitive(coeffs) -> tuple[int, int, int]:
@@ -192,8 +209,7 @@ def _rational(tok: str, lineno: int) -> tuple[int, int]:
             q = int(den) if slash else 1
             if q:
                 return int(num), q
-        _, e, exponent = tok.lower().partition("e")
-        if e and abs(int(exponent)) > MAX_EXPONENT:
+        if _exponent_exceeds(tok):
             raise MalformedLine(f"line {lineno}: exponent of {tok!r} exceeds "
                                 f"{MAX_EXPONENT} in magnitude")
         value = Fraction(tok)

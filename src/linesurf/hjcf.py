@@ -11,8 +11,9 @@ resolution graphs.  ``modular_beta`` gives the beta the resolution uses.
 canonical coefficients, its callers, build O(lambda) output anyway.
 ``hj_summary`` keeps only lambda and the term sum, which the local invariants
 read, and is the one walk that takes a run of 2s in one step: O(log alpha)
-steps even when lambda is about alpha.  The oracle's graphs come from the
-first walk and the closed forms from the second, so each checks the other.
+steps even when lambda is about alpha; the closed forms call its loop,
+``_run_walk``, without its checks.  The oracle's graphs come from the first
+walk and the closed forms from the second, so each checks the other.
 """
 
 from __future__ import annotations
@@ -83,6 +84,14 @@ def hj_summary(alpha: int, beta: int) -> tuple[int, int]:
     """
     if _no_arms(alpha, beta):
         return 0, 0
+    return _run_walk(alpha, beta)
+
+
+def _run_walk(alpha: int, beta: int) -> tuple[int, int]:
+    """``hj_summary``'s loop without its checks, for a pair that
+    ``resolution._weights`` has already decided: alpha | 1 + b'beta with
+    0 <= beta < alpha gives gcd(alpha, beta) = 1, and beta = 0 only when
+    alpha = 1, which the loop maps to (0, 0)."""
     a, b = alpha, beta
     length = total = 0
     while b > 0:

@@ -7,8 +7,9 @@ When d = 1 (mod r) the centre E_0 is a (-1)-curve (central weight b = 1), and
 contracting it gives the minimal blown-down star; as K_{X'} = pi*K_X + E_0,
 the other coefficients do not change, so that shape keeps (a_1, ..., a_lambda),
 the progression a_k = -(r-2)(lambda+1-k).  DCI and DCII of a star read only
-the arm length lambda and the term sum of alpha/beta, from ``hj_summary`` in
-O(log d) steps; the blown-down star takes its row in O(1).  A node, r = 2,
+the arm length lambda and the term sum of alpha/beta, in O(log d) steps from
+``hj_summary``'s run walk on the checked weights of ``resolution._weights``;
+the blown-down star takes its row in O(1).  A node, r = 2,
 is one of the two shapes by the parity of d, and both give its crepant row
 DCI = 0, DCII = d - 1.
 
@@ -25,8 +26,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InternalCheckError
-from .hjcf import hj_expand, hj_summary
-from .resolution import BLOWN_DOWN_STAR, STAR, weight_data
+from .hjcf import _run_walk, hj_expand
+from .resolution import BLOWN_DOWN_STAR, STAR, _weights, weight_data
 
 
 class CanonicalCoefficients(NamedTuple):
@@ -72,19 +73,19 @@ def canonical_coefficients(r: int, d: int) -> CanonicalCoefficients:
 
 
 def local_invariants(r: int, d: int) -> LocalInvariants:
-    wd = weight_data(r, d)
+    g, alpha, _, _, beta, b, _ = _weights(r, d)
     if d % r == 1:
         # the star's row plus the contraction's (+1, -1), in O(1); reading the star
-        # forms here instead costs odd-d nodes an hj_summary call on every report
+        # forms here instead costs odd-d nodes a run walk on every report
         dci = -(d - 1) * (r - 2) ** 2
         dcii = d - 1
     else:
-        lam, term_sum = hj_summary(wd.w1, wd.beta)
+        lam, term_sum = _run_walk(alpha, beta)
         dci = (-d * (r - 2) ** 2
                - r * (term_sum - 2 * lam)
-               + 2 * (r - 2) * (r - wd.g)
-               + (r - wd.b))
-        dcii = 1 + r * lam - (r - 2) * (wd.g - 1)
+               + 2 * (r - 2) * (r - g)
+               + (r - b))
+        dcii = 1 + r * lam - (r - 2) * (g - 1)
     dmy = 3 * dcii - dci
     return LocalInvariants(r, d, dci, dcii, dmy, dmy + (d - 1) * (r - 1) * (3 - r))
 

@@ -9,8 +9,9 @@ the root weight dropped by one.  A node, r = 2, is the A_{d-1} singularity and
 takes the same two shapes by the parity of d: for d even a genus-0 centre of
 weight 2 with two arms of 2s, for d odd two arms of 2s whose roots meet.
 
-``WeightData`` and ``ResolutionGraph`` are NamedTuples, built on every
-local-invariant and graph call.
+``ResolutionGraph`` is a NamedTuple, built on every graph call.  The closed
+forms and ``graph_size`` read ``_weights``, the checked plain tuple behind
+the ``WeightData`` NamedTuple.
 
 Vertex order is fixed everywhere: central first (when present), then arm 1
 root to tip, arm 2, and so on; only DOT names the nodes: ``c`` and
@@ -29,11 +30,10 @@ from __future__ import annotations
 
 from itertools import chain, combinations, repeat
 from math import gcd
-from operator import index
 from typing import NamedTuple, Optional
 
 from .errors import BadMultiplicity, BadParameter, InternalCheckError, NotSymmetric, SingularMatrix
-from .hjcf import hj_expand, hj_summary, modular_beta
+from .hjcf import _run_walk, hj_expand, modular_beta
 from .record import _repr, _str
 
 STAR = "star"
@@ -113,6 +113,13 @@ class ResolutionGraph(NamedTuple):
 
 def weight_data(r: int, d: int) -> WeightData:
     """Compute the weight system, beta, central weight b and central genus."""
+    return WeightData(r, d, *_weights(r, d))
+
+
+def _weights(r: int, d: int) -> tuple[int, int, int, int, int, int, int]:
+    """The fields of ``weight_data(r, d)`` after (r, d), as a plain tuple:
+    the one place where (r, d) is checked, so its (alpha, beta) goes to
+    ``hjcf._run_walk`` unchecked."""
     if not type(r) is type(d) is int:  # one chained test: profile reports call this often
         raise BadParameter(f"r and d must be ints, got {type(r).__name__} and {type(d).__name__}")
     if r < 2 or r > d:
@@ -129,14 +136,14 @@ def weight_data(r: int, d: int) -> WeightData:
     twice_genus = (r - 2) * (g - 1)
     if twice_genus % 2 != 0:
         raise InternalCheckError(f"central genus not integral for (r, d)=({r}, {d})")
-    return WeightData(r, d, g, alpha, bprime, r * d // g, beta, g * quotient, twice_genus // 2)
+    return g, alpha, bprime, r * d // g, beta, g * quotient, twice_genus // 2
 
 
 def build_resolution_graph(r: int, d: int) -> ResolutionGraph:
     """Build the minimal dual graph, blowing the central vertex down when
     d = 1 (mod r)."""
-    wd = weight_data(r, d)
-    exp = hj_expand(wd.w1, wd.beta)
+    _, alpha, _, _, beta, b, genus0 = _weights(r, d)
+    exp = hj_expand(alpha, beta)
     if d % r == 1:
         # here w1 = d, w3 = r, beta = (d-1)/r and n_1 = r+1, so the
         # blown-down root weight r >= 2 is no (-1)-curve: no cascading blow-downs
@@ -146,7 +153,7 @@ def build_resolution_graph(r: int, d: int) -> ResolutionGraph:
         return ResolutionGraph(r, d, BLOWN_DOWN_STAR, None, (arm,) * r)
     # lambda = 0 when r = d: the central curve alone, in O(log d) for any r
     arms = (exp.terms,) * r if exp.terms else ()
-    return ResolutionGraph(r, d, STAR, (wd.genus0, wd.b), arms)
+    return ResolutionGraph(r, d, STAR, (genus0, b), arms)
 
 
 def graph_size(r: int, d: int) -> int:
@@ -155,10 +162,10 @@ def graph_size(r: int, d: int) -> int:
     r arm roots also form a clique, and 1 + r*lambda for the star, a tree.
     A node, r = 2, takes one of the two by the parity of d, and either gives
     the A_{d-1} path: d - 1 vertices and d - 2 edges."""
-    wd = weight_data(r, d)
+    _, alpha, _, _, beta, _, _ = _weights(r, d)
     if d % r == 1:
         return (d - 1) + (d - 1 - r) + r * (r - 1) // 2
-    vertices = 1 + r * hj_summary(wd.w1, wd.beta)[0]
+    vertices = 1 + r * _run_walk(alpha, beta)[0]
     return 2 * vertices - 1
 
 
@@ -171,18 +178,19 @@ def intersection_matrix(graph: ResolutionGraph) -> list[dict[int, int]]:
     return rows
 
 
-def _sparse_rows(matrix) -> list[dict[int, int]]:
+def _sparse_rows(matrix, rhs: list) -> list[dict[int, int]]:
     """Copy a square matrix of row dicts {column: entry} into sparse rows
-    {column: nonzero entry}.  Every row, column and entry is checked in
-    C-level passes, zeros included: a row that is not a dict, such as a dense
-    list, raises BadParameter, and a non-int column or entry TypeError."""
+    {column: nonzero entry}.  Every row, column and entry, and every entry of
+    the right-hand side list ``rhs``, is checked in C-level passes, zeros
+    included: a row that is not a dict, such as a dense list, raises
+    BadParameter, and a non-int column or entry, a bool included, TypeError."""
     n = len(matrix)
     if not all(map(isinstance, matrix, repeat(dict))):
         raise BadParameter("matrix rows must be dicts {column: entry}")
     cols = list(chain.from_iterable(matrix))
     entries = list(chain.from_iterable(map(dict.values, matrix)))
-    if not set(map(type, cols + entries)) <= {int}:
-        raise TypeError("sparse rows need int columns and entries")
+    if not set(map(type, chain(cols, entries, rhs))) <= {int}:
+        raise TypeError("sparse rows and right-hand side need int columns and entries")
     if cols and (min(cols) < 0 or max(cols) >= n):
         raise NotSymmetric("matrix is not square")
     if 0 in entries:
@@ -207,14 +215,15 @@ def eliminate(matrix, rhs) -> tuple[list[dict[int, int]], list[int]]:
     sparse rows, now lower triangular, and the rhs; rows[k][k] has the sign
     of the k-th pivot.  Intersection matrices lose arm tips first and get no
     fill-in.  A matrix that is not square and symmetric raises NotSymmetric,
-    a row that is not a dict, a non-integer entry or a right-hand side of
-    another length BadParameter, and a zero pivot, from a singular matrix or
-    one that needs a row exchange, SingularMatrix.
+    a row that is not a dict, a non-int entry of the matrix or the right-hand
+    side, a bool included, or a right-hand side of another length
+    BadParameter, and a zero pivot, from a singular matrix or one that needs
+    a row exchange, SingularMatrix.
     """
     n = len(matrix)
     try:
-        rows = _sparse_rows(matrix)
-        b = list(map(index, rhs))
+        b = list(rhs)
+        rows = _sparse_rows(matrix, b)
     except TypeError:
         raise BadParameter("matrix and right-hand side entries must be integers") from None
     if len(b) != n:

@@ -8,8 +8,9 @@ exceptional configuration minus one.  The sweep solves each (r, d) once, on
 the sparse rows of ``intersection_matrix``, and compares these against the
 closed forms in :mod:`linesurf.local`, one ``OracleReport`` NamedTuple per
 pair.  The graphs take their arms from ``hj_expand``, one term per step, and
-the closed forms read ``hj_summary``, which takes each run of 2s in one step,
-so the sweep also checks these two independent walks against each other.
+the closed forms read ``hj_summary``'s run walk, which takes each run of 2s
+in one step, so the sweep also checks these two independent walks against
+each other.
 ``canonical_coefficients`` runs the star recurrence for every pair and drops
 a_0 on a blown-down star, so the solve on the blown-down graphs checks that
 recurrence and the contraction step too.

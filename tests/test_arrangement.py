@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm
@@ -127,6 +128,17 @@ class TestLine:
     def test_of_refuses_non_rational(self, value):
         with pytest.raises(BadParameter, match="coefficients must be rational"):
             Line.of(value, 0, 0)
+
+    @pytest.mark.parametrize("value", ["1e10000000", "-2.5e-10000000", "1E4301",
+                                       Decimal("1e10000000")])
+    def test_of_refuses_huge_exponent(self, value):
+        # refused before Fraction builds 10**k, as parse_arrangement refuses the token
+        with pytest.raises(BadParameter, match=f"exceeds {MAX_EXPONENT}"):
+            Line.of(value, 0, 1)
+
+    def test_of_takes_the_largest_exponent(self):
+        line = parse_arrangement("1e4300 0 1\n0 1 0\n").lines[0]
+        assert Line.of("1e4300", 0, 1) == Line.of(Decimal("1e4300"), 0, 1) == line
 
     def test_arrangement_refuses_non_line(self):
         with pytest.raises(BadParameter, match=r"line 2 is not a Line: \(0, 1, 0\)"):

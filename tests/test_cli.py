@@ -19,7 +19,6 @@ from linesurf import (
     catalog_profile,
     cli,
     global_invariants,
-    hj_summary,
     local,
     local_invariants,
     resolution,
@@ -27,6 +26,7 @@ from linesurf import (
 from linesurf.arrangement import CATALOG
 from linesurf.cli import main
 from linesurf.errors import InternalCheckError
+from linesurf.hjcf import _run_walk
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,7 +67,7 @@ class TestInvariants:
 
     def test_huge_braid(self, capsys):
         # d = 450,015,000: a star whose arms have about d/3 terms each, read
-        # from hj_summary without building them
+        # by the run walk of hj_summary without building them
         code, out, _ = run(capsys, "invariants", "--catalog", "braid", "--n", "30000",
                            "--format", "json")
         assert code == 0
@@ -339,7 +339,7 @@ class TestGraphSizeCap:
 
 def test_log_d_paths_expand_nothing(capsys, monkeypatch):
     # hj_expand takes one term per step, so an expansion here would cost
-    # O(d) steps; each of these paths reads only hj_summary
+    # O(d) steps; each of these paths reads only the run walk of hj_summary
     def refuse(alpha, beta):
         pytest.fail(f"hj_expand({alpha}, {beta}) called")
 
@@ -396,14 +396,15 @@ class TestVerify:
         assert code == 2 and "BadParameter" in err
 
     def test_fault_in_the_run_walk_is_caught(self, capsys, monkeypatch):
-        # the closed forms read a wrong hj_summary; the oracle's graphs take
-        # their arms from hj_expand, so every star pair mismatches, and so
-        # does every node with d even, which takes the star forms
+        # the closed forms read a wrong run walk, the unchecked loop behind
+        # hj_summary; the oracle's graphs take their arms from hj_expand, so
+        # every star pair mismatches, and so does every node with d even,
+        # which takes the star forms
         def wrong(alpha, beta):
-            lam, total = hj_summary(alpha, beta)
+            lam, total = _run_walk(alpha, beta)
             return lam + 1, total + 2
 
-        monkeypatch.setattr(local, "hj_summary", wrong)
+        monkeypatch.setattr(local, "_run_walk", wrong)
         stars = [(2, 2), (2, 4), (2, 6), (2, 8),
                  (3, 3), (3, 5), (3, 6), (3, 8), (4, 4), (4, 6), (4, 7), (4, 8)]
         code, out, _ = run(capsys, "verify", "--r-max", "4", "--d-max", "8")

@@ -19,11 +19,12 @@ from linesurf import (
     weight_data,
 )
 from linesurf.errors import BadMultiplicity, BadParameter, LineSurfError, NotSymmetric
-from linesurf.hjcf import hj_expand
+from linesurf.hjcf import _run_walk, hj_expand, hj_summary
 from linesurf.resolution import (
     BLOWN_DOWN_STAR,
     STAR,
     ResolutionGraph,
+    _weights,
     graph_size,
 )
 
@@ -85,6 +86,18 @@ class TestWeightData:
     def test_refuses_non_int(self, call, args):
         with pytest.raises(BadParameter):
             call(*args)
+
+    def test_one_check_covers_the_run_walk(self):
+        # _weights is the one check of (r, d), and the closed forms hand its
+        # (alpha, beta) to the unchecked run walk: hj_summary's own checks
+        # must pass on every such pair, and both walks agree
+        huge = [(r, d) for d in (10**40 + 1, 3**90, 2**130 + 3)
+                for r in (2, 3, 4, 5, 6, 9, 27, 1000, d // 3, d - 1, d)]
+        small = [(r, d) for d in range(2, 301) for r in range(2, d + 1)]
+        for r, d in chain(small, huge):
+            wd = weight_data(r, d)
+            assert wd[2:] == _weights(r, d), (r, d)
+            assert hj_summary(wd.w1, wd.beta) == _run_walk(wd.w1, wd.beta), (r, d)
 
     @given(rd_pairs)
     def test_central_weight_positive(self, pair):

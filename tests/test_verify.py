@@ -55,7 +55,8 @@ class TestSolveExact:
         with pytest.raises(NotSymmetric):
             solve_exact(matrix, [1, 1])
 
-    @pytest.mark.parametrize("matrix, rhs", [([{0: -0.5}], [1]), ([{0: 2}], [0.5])])
+    @pytest.mark.parametrize("matrix, rhs", [([{0: -0.5}], [1]), ([{0: 2}], [0.5]),
+                                             ([{0: 2}], [True])])
     def test_rejects_non_integer(self, matrix, rhs):
         with pytest.raises(LineSurfError):
             solve_exact(matrix, rhs)
