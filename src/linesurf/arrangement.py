@@ -258,7 +258,7 @@ def validate_profile(d: int, t: dict) -> Profile:
     try:
         return Profile(d, tuple(sorted(t.items())))
     except TypeError:  # multiplicities that do not sort, so not all ints
-        raise BadParameter(f"multiplicities must be ints, got {list(t)!r}") from None
+        raise BadParameter(f"multiplicities must be ints, got {_repr(list(t))}") from None
 
 
 def is_pencil(p: Profile) -> bool:

@@ -50,8 +50,6 @@ def modular_beta(alpha: int, bprime: int) -> int:
             f"need alpha >= 1 and bprime >= 1, got ({_repr(alpha)}, {_repr(bprime)})")
     if gcd(alpha, bprime) != 1:
         raise NotCoprime(f"gcd({_repr(alpha)}, {_repr(bprime)}) != 1")
-    if alpha == 1:
-        return 0
     return (-pow(bprime, -1, alpha)) % alpha
 
 
@@ -63,8 +61,7 @@ def hj_expand(alpha: int, beta: int) -> HJExpansion:
     with n_i = ceil(alpha_{i-1} / alpha_i), one term per step; the expansion
     is unique.  Only ``hj_summary`` takes a run of 2s in one step.
     """
-    if _no_arms(alpha, beta):
-        return HJExpansion(1, 0, ())
+    _check_pair(alpha, beta)
     a, b = alpha, beta
     terms = []
     while b > 0:
@@ -82,8 +79,7 @@ def hj_summary(alpha: int, beta: int) -> tuple[int, int]:
     the pair (a mod s + s, a mod s), so no term is stored and the loop takes
     O(log alpha) steps.
     """
-    if _no_arms(alpha, beta):
-        return 0, 0
+    _check_pair(alpha, beta)
     return _run_walk(alpha, beta)
 
 
@@ -109,16 +105,13 @@ def _run_walk(alpha: int, beta: int) -> tuple[int, int]:
     return length, total
 
 
-def _no_arms(alpha: int, beta: int) -> bool:
-    """True for the pair (1, 0); otherwise check that alpha and beta are ints
-    with 0 < beta < alpha coprime, and return False."""
+def _check_pair(alpha: int, beta: int) -> None:
+    """Check that alpha and beta are ints with 0 < beta < alpha coprime, or
+    the pair (1, 0), which both walks map to the empty expansion."""
     if not type(alpha) is type(beta) is int:
         raise BadParameter(f"alpha and beta must be ints, got {_repr(alpha)} and {_repr(beta)}")
-    if alpha == 1 and beta == 0:
-        return True
-    if alpha < 2 or not 0 < beta < alpha:
+    if not 0 < beta < alpha and (alpha, beta) != (1, 0):
         raise BetaOutOfRange(
             f"need 0 < beta < alpha with alpha >= 2, got ({_repr(alpha)}, {_repr(beta)})")
     if gcd(alpha, beta) != 1:
         raise NotCoprime(f"gcd({_repr(alpha)}, {_repr(beta)}) != 1")
-    return False

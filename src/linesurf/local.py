@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .errors import InternalCheckError
 from .hjcf import _run_walk, hj_expand
-from .resolution import BLOWN_DOWN_STAR, STAR, _weights, weight_data
+from .resolution import BLOWN_DOWN_STAR, STAR, _weights
 
 
 class CanonicalCoefficients(NamedTuple):
@@ -53,19 +53,17 @@ class LocalInvariants(NamedTuple):
 
 
 def canonical_coefficients(r: int, d: int) -> CanonicalCoefficients:
-    wd = weight_data(r, d)
-    exp = hj_expand(wd.w1, wd.beta)
-    lam = exp.length
-    a0 = (2 - r) * wd.w1 + wd.w3 - 1
-    vals = [a0]
-    if lam >= 1:
-        vals.append((2 - r) * wd.beta + wd.b // wd.g - 1)  # b/g = (1 + b'beta)/alpha
-        for k in range(1, lam):
-            n_k = exp.terms[k - 1]
+    g, alpha, w3, _, beta, b, _ = _weights(r, d)
+    terms = hj_expand(alpha, beta).terms
+    vals = [(2 - r) * alpha + w3 - 1]
+    if terms:
+        vals.append((2 - r) * beta + b // g - 1)  # b/g = (1 + b'beta)/alpha
+        for k in range(1, len(terms)):
+            n_k = terms[k - 1]
             vals.append(n_k * vals[k] - vals[k - 1] + n_k - 2)
         if vals[-1] != -(r - 2):
             raise InternalCheckError(f"tail coefficient is not -(r-2) for (r, d)=({r}, {d})")
-    _check_star_system(wd, exp.terms, vals)
+    _check_star_system(r, d, g, b, terms, vals)
     if d % r == 1:
         # E_0 is a (-1)-curve and K_{X'} = pi*K_X + E_0: contracting it drops a_0 only
         return CanonicalCoefficients(r, d, BLOWN_DOWN_STAR, tuple(vals[1:]))
@@ -90,15 +88,12 @@ def local_invariants(r: int, d: int) -> LocalInvariants:
     return LocalInvariants(r, d, dci, dcii, dmy, dmy + (d - 1) * (r - 1) * (3 - r))
 
 
-def _check_star_system(wd, terms, vals) -> None:
+def _check_star_system(r, d, g, b, terms, vals) -> None:
     """Residual check of the adjunction system for the star shape."""
-    r, lam = wd.r, len(terms)
     a = list(vals) + [0]  # a_{lambda+1} = 0
-    first = -wd.b * a[0] + (r * a[1] if lam >= 1 else 0)
-    if first != (r - 2) * (wd.g - 1) - 2 + wd.b:
-        raise InternalCheckError(f"central equation fails for (r, d)=({r}, {wd.d})")
-    for k in range(1, lam + 1):
+    if -b * a[0] + r * a[1] != (r - 2) * (g - 1) - 2 + b:
+        raise InternalCheckError(f"central equation fails for (r, d)=({r}, {d})")
+    for k in range(1, len(terms) + 1):
         n_k = terms[k - 1]
         if -n_k * a[k] + a[k - 1] + a[k + 1] != n_k - 2:
-            raise InternalCheckError(f"arm equation {k} fails for (r, d)=({r}, {wd.d})")
-
+            raise InternalCheckError(f"arm equation {k} fails for (r, d)=({r}, {d})")

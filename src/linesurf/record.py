@@ -17,15 +17,16 @@ set_field = object.__setattr__
 
 
 def _repr(value) -> str:
-    """``repr(value)``, but an int past the digit limit of int-to-str
-    conversion, which repr refuses, shows its sign and bit length.  Every
-    message that names a caller's number renders it through this."""
+    """``repr(value)``, but a value whose repr holds an int past the digit
+    limit of int-to-str conversion, which repr refuses, shows its type: a bare
+    int its sign and bit length.  Every message that names a caller's value
+    renders it through this."""
     try:
         return repr(value)
     except ValueError:
-        if type(value) is not int:
-            raise
-        return f"<{'-' * (value < 0)}int of {value.bit_length()} bits>"
+        if type(value) is int:
+            return f"<{'-' * (value < 0)}int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} holding an int past the digit limit>"
 
 
 def _str(value) -> str:

@@ -9,9 +9,9 @@ the root weight dropped by one.  A node, r = 2, is the A_{d-1} singularity and
 takes the same two shapes by the parity of d: for d even a genus-0 centre of
 weight 2 with two arms of 2s, for d odd two arms of 2s whose roots meet.
 
-``ResolutionGraph`` is a NamedTuple, built on every graph call.  The closed
-forms and ``graph_size`` read ``_weights``, the checked plain tuple behind
-the ``WeightData`` NamedTuple.
+``ResolutionGraph`` is a NamedTuple, built on every graph call.  Every
+internal caller reads ``_weights``, the checked plain tuple behind the public
+``WeightData`` NamedTuple.
 
 Vertex order is fixed everywhere: central first (when present), then arm 1
 root to tip, arm 2, and so on; only DOT names the nodes: ``c`` and

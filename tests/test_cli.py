@@ -126,6 +126,15 @@ class TestInvariants:
         assert (code, out) == (2, "")
         assert err.startswith("UnbalancedProfile: ") and " bits>" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--d", "3", "--t", "2=x"], "--t expects r=count, got '2=x'"),
+        (["--d", "3", "--t", "2=1", "--t", "2=2"], "multiplicity 2 given twice"),
+        (["--t", "2=1"], "--profile requires --d"),
+    ])
+    def test_profile_flags_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, "invariants", "--profile", *argv)
+        assert (code, out, err) == (2, "", f"BadParameter: {message}\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "invariants", "--input", "/nonexistent/zzz")
         assert code == 2

@@ -6,11 +6,14 @@ themselves or whose ``vars()`` a caller reads are plain classes on
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from linesurf import (
+    Arrangement,
     Line,
+    Profile,
     build_resolution_graph,
     canonical_coefficients,
     catalog_profile,
@@ -171,6 +174,8 @@ def test_repr_of_an_int_past_the_digit_limit():
     assert repr(Line(1, -(10 ** 4300), 0)) == "Line(a=1, b=<-int of 14285 bits>, c=0)"
 
 
+BIG = 10**5000  # past the digit limit of int-to-str conversion
+
 # each call takes a number that it refuses: an int past the digit limit of
 # int-to-str conversion, which the message must render through record._repr,
 # or a number that is no int
@@ -186,6 +191,23 @@ BAD_NUMBERS = {
     "hj_expand-float": (lambda: hj_expand(2.5, 1), BadParameter),
     "hj_summary-float": (lambda: hj_summary(5, 2.0), BadParameter),
     "modular_beta-float": (lambda: modular_beta(5.0, 2), BadParameter),
+    # a value that is no bare int, but whose repr holds one past the digit limit
+    "hodge_diamond-huge-inside": (lambda: hodge_diamond(HESSE, Fraction(BIG)), BadParameter),
+    "Line-huge-inside": (lambda: Line(Fraction(BIG), 0, 0), BadParameter),
+    "Line.of-huge-inside": (lambda: Line.of([BIG], 0, 0), BadParameter),
+    "Arrangement-huge-inside": (lambda: Arrangement([(BIG, 0, 0), (0, 1, 0)]), BadParameter),
+    "Profile-d-huge-inside": (lambda: Profile(Fraction(BIG), ()), BadParameter),
+    "Profile-count-huge-inside": (lambda: Profile(5, ((2, Fraction(BIG)),)), BadParameter),
+    "validate_profile-d-huge-inside": (lambda: validate_profile(Fraction(BIG), {2: 1}),
+                                       BadParameter),
+    "validate_profile-r-huge-inside": (lambda: validate_profile(5, {Fraction(BIG): 1}),
+                                       BadParameter),
+    "validate_profile-unsortable-huge-inside": (
+        lambda: validate_profile(5, {Fraction(BIG): 1, "a": 1}), BadParameter),
+    "hj_expand-huge-inside": (lambda: hj_expand(Fraction(BIG), 1), BadParameter),
+    "hj_summary-huge-inside": (lambda: hj_summary(BIG + 1, Fraction(BIG)), BadParameter),
+    "modular_beta-huge-inside": (lambda: modular_beta(Fraction(BIG), 1), BadParameter),
+    "sweep_verify-huge-inside": (lambda: sweep_verify(Fraction(BIG), 5), BadParameter),
 }
 
 
@@ -197,6 +219,8 @@ def test_bad_number_ends_as_its_error(name):
         call()
     if name.endswith("-huge"):
         assert " bits>" in str(info.value)
+    elif name.endswith("-huge-inside"):
+        assert " holding an int past the digit limit>" in str(info.value)
 
 
 def test_plain_record_vars_keep_the_field_order(plain_record):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +46,12 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_named_scripts_exist():
+    # CI and the README name scripts by path; one deleted or renamed without
+    # them would fail only on the CI runner, or mislead a reader
+    named = {name for path in (ROOT / ".github" / "workflows" / "ci.yml", ROOT / "README.md")
+             for name in re.findall(r"scripts/([\w-]+\.py)", path.read_text(encoding="utf-8"))}
+    missing = sorted(name for name in named if not (ROOT / "scripts" / name).is_file())
+    assert named and not missing, missing
