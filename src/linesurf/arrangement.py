@@ -262,8 +262,9 @@ def validate_profile(d: int, t: dict) -> Profile:
 
 
 def is_pencil(p: Profile) -> bool:
-    """True iff all lines pass through one point, i.e. t_d = 1."""
-    return p.t_r(p.d) == 1
+    """True iff all lines pass through one point, i.e. t_d = 1: the balance
+    allows at most one d-fold point, so t's last multiplicity decides."""
+    return p.t[-1][0] == p.d
 
 
 class CatalogRow(NamedTuple):

@@ -40,6 +40,10 @@ _SAFE_INT = 2 ** 53
 # `graph` and `local` build and print a resolution graph, so each refuses one
 # with more vertices plus edges than this; `invariants` reads only closed forms
 MAX_GRAPH_SIZE = 100_000
+# `verify` builds every graph of its range, so it refuses a range whose graphs
+# may hold more vertices plus edges in all than 200 graphs at that cap; the
+# bound of --r-max 30 --d-max 200 is 19,246,140
+MAX_SWEEP_SIZE = 200 * MAX_GRAPH_SIZE
 
 
 def _jsonable(value):
@@ -93,6 +97,16 @@ def _check_graph_size(r: int, d: int) -> None:
     if size > MAX_GRAPH_SIZE:
         raise BadParameter(f"the resolution graph for (r, d)=({r}, {d}) has {_repr(size)} "
                            f"vertices and edges, more than the cap of {MAX_GRAPH_SIZE}")
+
+
+def _sweep_size_bound(r_max: int, d_max: int) -> int:
+    """An upper bound, in O(1), on the vertices plus edges of all the graphs
+    of ``sweep_verify(r_max, d_max)`` for 2 <= r_max <= d_max: the sum of
+    2rd + r(r-1)/2 over 2 <= r <= r_max, r <= d <= d_max.  A star has
+    1 + r*lambda vertices with lambda < d and one edge fewer, at most 2rd in
+    all; a blown-down star d - 1 vertices and d - 1 - r + r(r-1)/2 edges."""
+    R, D = r_max, d_max
+    return (R - 1) * (12 * D * (D + 1) * (R + 2) + R * (R + 1) * (4 * D - 9 * R - 2)) // 24
 
 
 def _resolve_input(args) -> tuple[Profile, Optional[int], dict]:
@@ -224,7 +238,14 @@ def cmd_local(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = sweep_verify(args.r_max, args.d_max)
+    r_max, d_max = args.r_max, args.d_max
+    if 2 <= r_max <= d_max:  # sweep_verify refuses any other range
+        bound = _sweep_size_bound(r_max, d_max)
+        if bound > MAX_SWEEP_SIZE:
+            raise BadParameter(
+                f"the sweep to (r_max, d_max)=({_repr(r_max)}, {_repr(d_max)}) may build "
+                f"{_repr(bound)} vertices and edges, more than the cap of {MAX_SWEEP_SIZE}")
+    reports = sweep_verify(r_max, d_max)
     mismatches = [rep for rep in reports if not rep.ok]
     if args.json:
         print(_dump({"pairs": len(reports), "mismatches": len(mismatches),

@@ -11,9 +11,12 @@ resolution graphs.  ``modular_beta`` gives the beta the resolution uses.
 canonical coefficients, its callers, build O(lambda) output anyway.
 ``hj_summary`` keeps only lambda and the term sum, which the local invariants
 read, and is the one walk that takes a run of 2s in one step: O(log alpha)
-steps even when lambda is about alpha; the closed forms call its loop,
-``_run_walk``, without its checks.  The oracle's graphs come from the first
-walk and the closed forms from the second, so each checks the other.
+steps even when lambda is about alpha.  The oracle's graphs come from the
+first walk and the closed forms from the second, so each checks the other.
+
+Two unchecked helpers serve ``resolution._weights``, which has already checked
+(r, d): ``_neg_inverse`` is ``modular_beta`` without its checks, and
+``_run_walk`` is ``hj_summary``'s loop without its checks.
 """
 
 from __future__ import annotations
@@ -50,7 +53,14 @@ def modular_beta(alpha: int, bprime: int) -> int:
             f"need alpha >= 1 and bprime >= 1, got ({_repr(alpha)}, {_repr(bprime)})")
     if gcd(alpha, bprime) != 1:
         raise NotCoprime(f"gcd({_repr(alpha)}, {_repr(bprime)}) != 1")
-    return (-pow(bprime, -1, alpha)) % alpha
+    return _neg_inverse(alpha, bprime)
+
+
+def _neg_inverse(alpha: int, bprime: int) -> int:
+    """``modular_beta``'s value without its checks, for the coprime pair
+    alpha = d/g, b' = r/g of ``resolution._weights``; ``pow`` still raises
+    ValueError when no inverse exists."""
+    return -pow(bprime, -1, alpha) % alpha
 
 
 def hj_expand(alpha: int, beta: int) -> HJExpansion:

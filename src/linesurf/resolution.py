@@ -33,7 +33,7 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .errors import BadMultiplicity, BadParameter, InternalCheckError, NotSymmetric, SingularMatrix
-from .hjcf import _run_walk, hj_expand, modular_beta
+from .hjcf import _neg_inverse, _run_walk, hj_expand
 from .record import _repr, _str
 
 STAR = "star"
@@ -118,8 +118,10 @@ def weight_data(r: int, d: int) -> WeightData:
 
 def _weights(r: int, d: int) -> tuple[int, int, int, int, int, int, int]:
     """The fields of ``weight_data(r, d)`` after (r, d), as a plain tuple:
-    the one place where (r, d) is checked, so its (alpha, beta) goes to
-    ``hjcf._run_walk`` unchecked."""
+    the one place where (r, d) is checked.  alpha = d/g and b' = r/g are
+    coprime by construction, so beta comes from ``hjcf._neg_inverse``
+    unchecked, and the (alpha, beta) that alpha | 1 + b'beta then certifies
+    goes to ``hjcf._run_walk`` unchecked."""
     if not type(r) is type(d) is int:  # one chained test: profile reports call this often
         raise BadParameter(f"r and d must be ints, got {type(r).__name__} and {type(d).__name__}")
     if r < 2 or r > d:
@@ -127,7 +129,7 @@ def _weights(r: int, d: int) -> tuple[int, int, int, int, int, int, int]:
     g = gcd(r, d)
     alpha = d // g
     bprime = r // g
-    beta = modular_beta(alpha, bprime)
+    beta = _neg_inverse(alpha, bprime)
     # the package's one divisibility check, alpha | 1 + b'beta; b = g * quotient,
     # and canonical_coefficients reads the quotient back as b // g
     quotient, rem = divmod(1 + bprime * beta, alpha)

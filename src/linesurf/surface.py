@@ -70,26 +70,39 @@ class HodgeDiamond(NamedTuple):
 def base_invariants(p: Profile) -> tuple[int, int, int]:
     """(K^2, chi, MY) of the singular compactification."""
     d = p.d
+    squares = cross = 0  # sum t_r (r-1)^2 and sum t_r (r-1)(3-r), in one pass
+    for r, c in p.t:
+        squares += c * (r - 1) ** 2
+        cross += c * (r - 1) * (3 - r)
     k2_bar = d * (d - 4) ** 2
-    chi_bar = d * (d * d - 4 * d + 6) - (d - 1) * sum(c * (r - 1) ** 2 for r, c in p.t)
+    chi_bar = d * (d * d - 4 * d + 6) - (d - 1) * squares
     my_bar = 3 * chi_bar - k2_bar
-    if my_bar != (d - 1) * sum(c * (r - 1) * (3 - r) for r, c in p.t):
+    if my_bar != (d - 1) * cross:
         raise InternalCheckError(f"MY of the singular model disagrees for {p}")
     return k2_bar, chi_bar, my_bar
 
 
 def chern_numbers(p: Profile) -> tuple[int, int]:
     """(c1^2, c2) of the minimal resolution."""
-    k2_bar, chi_bar, _ = base_invariants(p)
-    c1sq = k2_bar + sum(c * local_invariants(r, p.d).dci for r, c in p.t)
-    c2 = chi_bar + sum(c * local_invariants(r, p.d).dcii for r, c in p.t)
+    c1sq, c2, _ = base_invariants(p)
+    d = p.d
+    # one local_invariants call per multiplicity for each number: the benchmark's
+    # tests pin that count (6 for hesse) until ROADMAP item 1 loosens the pin
+    for r, c in p.t:
+        c1sq += c * local_invariants(r, d).dci
+    for r, c in p.t:
+        c2 += c * local_invariants(r, d).dcii
     return c1sq, c2
 
 
 def my_tilde(p: Profile) -> int:
     """Miyaoka-Yau number of the resolution, as the sum of per-point terms;
     ``global_invariants`` checks it against 3 c2 - c1^2."""
-    return sum(c * local_invariants(r, p.d).e for r, c in p.t)
+    d = p.d
+    total = 0
+    for r, c in p.t:
+        total += c * local_invariants(r, d).e
+    return total
 
 
 def global_invariants(p: Profile) -> GlobalInvariants:
@@ -159,7 +172,7 @@ def chern_ratio_analysis(p: Profile) -> dict:
         raise ZeroSecondChern("c2 = 0, the Chern ratio is undefined")
     ratio = Fraction(c1sq, c2)
     result: dict = {"ratio": ratio, "nodes_triples_form": None}
-    if set(p.multiplicities) <= {2, 3}:
+    if p.t[-1][0] <= 3:  # t is sorted by r, and every r >= 2
         # DCI_{3,d} = -(d - d mod 3) (see ``verdict``), so before the
         # division by d, denom = c2 and 2 numer = 3 c1^2 - c2
         d, t3 = p.d, p.t_r(3)

@@ -379,8 +379,8 @@ class TestLocal:
 
     def test_internal_check_failure_exits_3(self, capsys, monkeypatch):
         # a wrong modular inverse breaks alpha | 1 + b'beta, the package's one
-        # divisibility check, in weight_data
-        monkeypatch.setattr(resolution, "modular_beta", lambda alpha, bprime: 0)
+        # divisibility check, in resolution._weights
+        monkeypatch.setattr(resolution, "_neg_inverse", lambda alpha, bprime: 0)
         code, out, err = run(capsys, "local", "--r", "3", "--d", "5")
         assert code == 3 and out == ""
         assert err.startswith("InternalCheckError: ") and err.count("\n") == 1
@@ -403,6 +403,44 @@ class TestVerify:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "verify", "--r-max", "1", "--d-max", "5")
         assert code == 2 and "BadParameter" in err
+
+    @pytest.mark.parametrize("argv", [["--r-max", "2", "--d-max", "1000000000000"],
+                                      ["--r-max", "1000000", "--d-max", "1000000"]])
+    def test_huge_sweep_refused_quickly(self, capsys, argv):
+        # refused from the closed-form size bound, before any graph is built
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "") and err.startswith("BadParameter: ") and "cap" in err
+        assert err.count("\n") == 1
+
+    def test_cap_admits_the_documented_sweeps(self):
+        # CI's two sweeps and the larger timed one, checked without running them
+        assert cli.MAX_SWEEP_SIZE == 200 * cli.MAX_GRAPH_SIZE
+        bounds = [cli._sweep_size_bound(r_max, d_max)
+                  for r_max, d_max in ((10, 60), (2, 400), (30, 200))]
+        assert bounds == [203745, 321195, 19246140]
+        assert max(bounds) <= cli.MAX_SWEEP_SIZE
+
+    def test_cap_is_on_the_size_bound(self, capsys, monkeypatch):
+        # (2, 2) and (2, 3) are bounded by 2rd + r(r-1)/2 = 9 and 13
+        monkeypatch.setattr(cli, "MAX_SWEEP_SIZE", 22)
+        assert run(capsys, "verify", "--r-max", "2", "--d-max", "3")[0] == 0
+        monkeypatch.setattr(cli, "MAX_SWEEP_SIZE", 21)
+        code, out, err = run(capsys, "verify", "--r-max", "2", "--d-max", "3")
+        assert (code, out) == (2, "") and "may build 22 vertices and edges" in err
+
+    def test_size_bound_is_the_sum_over_the_sweep(self):
+        # the closed form is the sum of 2rd + r(r-1)/2 over the sweep's pairs,
+        # and that term bounds each graph's vertices plus edges
+        for d in range(2, 301):
+            for r in range(2, d + 1):
+                assert resolution.graph_size(r, d) <= 2 * r * d + r * (r - 1) // 2, (r, d)
+        for d_max in range(2, 41):
+            for r_max in range(2, d_max + 1):
+                total = sum(2 * r * d + r * (r - 1) // 2
+                            for r in range(2, r_max + 1) for d in range(r, d_max + 1))
+                assert cli._sweep_size_bound(r_max, d_max) == total, (r_max, d_max)
 
     def test_fault_in_the_run_walk_is_caught(self, capsys, monkeypatch):
         # the closed forms read a wrong run walk, the unchecked loop behind
@@ -464,9 +502,10 @@ SUBCOMMANDS = {
     "graph": (("--r", "--d"), ("--dot",)), "local": (("--r", "--d"), ()),
     "verify": (("--r-max", "--d-max"), ("--json",)), "catalog": ((), ()),
 }
-# no digits, so no token parses as a large integer (verify has no size cap,
-# and --r and --d abbreviate its bounds), and no path separator, so a token
-# taken as a path names a file in the working directory; a NUL names none
+# no digits, so no token parses as a large integer (verify's cap still admits
+# sweeps of several seconds, and --r and --d abbreviate its bounds), and no
+# path separator, so a token taken as a path names a file in the working
+# directory; a NUL names none
 JUNK = st.text(st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters="/\\"),
                max_size=8)
 

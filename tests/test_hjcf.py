@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from hj_reference import TwoByTwo, g_product, hj_evaluate
 from linesurf import HJExpansion, hj_expand, hj_summary, modular_beta, weight_data
 from linesurf.errors import BetaOutOfRange, NotCoprime
+from linesurf.hjcf import _neg_inverse
 
 
 def reference_expand(alpha, beta):
@@ -151,6 +152,8 @@ class TestModularBeta:
     def test_rejects_non_coprime(self):
         with pytest.raises(NotCoprime):
             modular_beta(6, 3)
+        with pytest.raises(ValueError):  # the unchecked form: no inverse exists
+            _neg_inverse(6, 3)
         with pytest.raises(BetaOutOfRange):
             modular_beta(0, 1)
 

@@ -19,7 +19,7 @@ from linesurf import (
     weight_data,
 )
 from linesurf.errors import BadMultiplicity, BadParameter, LineSurfError, NotSymmetric
-from linesurf.hjcf import _run_walk, hj_expand, hj_summary
+from linesurf.hjcf import _neg_inverse, _run_walk, hj_expand, hj_summary, modular_beta
 from linesurf.resolution import (
     BLOWN_DOWN_STAR,
     STAR,
@@ -88,15 +88,23 @@ class TestWeightData:
             call(*args)
 
     def test_one_check_covers_the_run_walk(self):
-        # _weights is the one check of (r, d), and the closed forms hand its
-        # (alpha, beta) to the unchecked run walk: hj_summary's own checks
-        # must pass on every such pair, and both walks agree
+        # _weights is the one check of (r, d): it takes beta from the
+        # unchecked _neg_inverse and hands its (alpha, beta) to the unchecked
+        # run walk.  modular_beta's and hj_summary's own checks must pass on
+        # every such pair, each helper must agree with its checked form, and
+        # weight_data must equal its fields rebuilt through modular_beta
         huge = [(r, d) for d in (10**40 + 1, 3**90, 2**130 + 3)
                 for r in (2, 3, 4, 5, 6, 9, 27, 1000, d // 3, d - 1, d)]
         small = [(r, d) for d in range(2, 301) for r in range(2, d + 1)]
         for r, d in chain(small, huge):
             wd = weight_data(r, d)
             assert wd[2:] == _weights(r, d), (r, d)
+            g = gcd(r, d)
+            alpha, bprime = d // g, r // g
+            beta = modular_beta(alpha, bprime)
+            assert _neg_inverse(alpha, bprime) == beta, (r, d)
+            assert wd == (r, d, g, alpha, bprime, r * d // g, beta,
+                          g * (1 + bprime * beta) // alpha, (r - 2) * (g - 1) // 2), (r, d)
             assert hj_summary(wd.w1, wd.beta) == _run_walk(wd.w1, wd.beta), (r, d)
 
     @given(rd_pairs)

@@ -1,5 +1,6 @@
 """Global invariants, verdicts, Hodge numbers, and ratio decomposition tests."""
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -14,12 +15,14 @@ from linesurf import (
     chern_ratio_analysis,
     global_invariants,
     hodge_diamond,
+    is_pencil,
     local_invariants,
     my_tilde,
     surface,
     validate_profile,
     verdict,
 )
+from linesurf.arrangement import CATALOG
 from linesurf.errors import (
     NegativeHodgeNumber,
     UnbalancedProfile,
@@ -205,3 +208,83 @@ class TestChernRatio:
         assert gi.chern_ratio is None
         gi = global_invariants(catalog_profile("hesse").profile)
         assert gi.chern_ratio == Fraction(14, 15)
+
+
+# --- the report path against the generator sums over local_invariants ---
+
+CATALOG_PARAMS = {"hesse": [None], "ceva": range(2, 9), "braid": range(2, 7),
+                  "pencil": range(2, 13), "near-pencil": range(3, 13), "generic": range(2, 13)}
+
+
+def seeded_profile(rng, d_lo, d_hi):
+    """A balanced profile: up to four higher multiplicities, nodes for the rest."""
+    d = rng.randint(d_lo, d_hi)
+    left, t = comb(d, 2), {}
+    for _ in range(rng.randint(0, 4)):
+        r = rng.randint(3, min(d, 12))
+        if comb(r, 2) <= left:
+            k = rng.randint(1, max(1, left // comb(r, 2) // 4))
+            t[r] = t.get(r, 0) + k
+            left -= k * comb(r, 2)
+    if left:
+        t[2] = left
+    return validate_profile(d, t)
+
+
+def report_inputs():
+    for name, params in CATALOG_PARAMS.items():
+        for param in params:
+            entry = catalog_profile(name, param)
+            yield entry.profile, entry.q
+    rng = random.Random(2101)
+    for _ in range(200):
+        yield seeded_profile(rng, 4, 40), None
+    for _ in range(4):
+        yield seeded_profile(rng, 2800, 3200), None
+
+
+class TestReportReference:
+    def test_report_matches_the_generator_sums(self):
+        assert CATALOG_PARAMS.keys() == CATALOG.keys()
+        for p, q in report_inputs():
+            d, t = p.d, p.t
+            k2 = d * (d - 4) ** 2
+            chi = d * (d * d - 4 * d + 6) - (d - 1) * sum(c * (r - 1) ** 2 for r, c in t)
+            c1sq = k2 + sum(c * local_invariants(r, d).dci for r, c in t)
+            c2 = chi + sum(c * local_invariants(r, d).dcii for r, c in t)
+            my = sum(c * local_invariants(r, d).e for r, c in t)
+            ratio = Fraction(c1sq, c2) if c2 else None
+            assert base_invariants(p) == (k2, chi, 3 * chi - k2), p
+            assert list(vars(global_invariants(p)).values()) == [
+                k2, chi, 3 * chi - k2, c1sq, c2, my, ratio], p
+
+            pencil = dict(t).get(d, 0) == 1
+            v = verdict(p)
+            assert (v.pencil, v.my_sign) == (pencil, (my > 0) - (my < 0)), p
+            assert v.general_type == ("No" if pencil and d == 3 else
+                                      "Yes" if c1sq > 9 else "Unknown"), p
+
+            if c2:
+                out = chern_ratio_analysis(p)
+                assert out["ratio"] == ratio, p
+                only_nodes_triples = set(p.multiplicities) <= {2, 3}
+                assert (out["nodes_triples_form"] is not None) == only_nodes_triples, p
+            else:
+                with pytest.raises(ZeroSecondChern):
+                    chern_ratio_analysis(p)
+
+            if q is not None:
+                pg = (c1sq + c2) // 12 - 1 + q
+                h11 = (5 * c2 - c1sq) // 6 + 2 * q
+                if min(pg, h11) < 0:
+                    with pytest.raises(NegativeHodgeNumber):
+                        hodge_diamond(p, q)
+                else:
+                    assert hodge_diamond(p, q) == (q, pg, h11), p
+
+    def test_is_pencil_reads_the_last_multiplicity(self):
+        for d in range(2, 61):
+            assert is_pencil(catalog_profile("pencil", d).profile), d
+            if d >= 3:
+                assert not is_pencil(catalog_profile("near-pencil", d).profile), d
+                assert not is_pencil(catalog_profile("generic", d).profile), d
