@@ -126,14 +126,20 @@ class Arrangement(Record):
 class Profile(Record):
     """Line count d plus the multiplicity counts t_r, stored sorted by r.
 
-    Construction checks that d, each r and each count is an ``int`` (not a
-    ``bool``), d >= 2, each r in [2, d] and strictly increasing with a
-    positive count, and sum t_r r(r-1)/2 = d(d-1)/2, so every profile is balanced.
+    Construction freezes t, any iterable of (r, t_r) pairs, to a tuple of
+    pairs, so equal profiles are equal and hash alike.  It checks that d, each
+    r and each count is an ``int`` (not a ``bool``), d >= 2, each r in [2, d]
+    and strictly increasing with a positive count, and sum t_r r(r-1)/2 =
+    d(d-1)/2, so every profile is balanced.
     """
 
     _fields = ("d", "t")
 
     def __init__(self, d: int, t: tuple[tuple[int, int], ...]):
+        try:
+            t = tuple([(r, count) for r, count in t])
+        except (TypeError, ValueError):  # not iterable, or an item that is no pair
+            raise BadParameter(f"t must be (multiplicity, count) pairs, got {_repr(t)}") from None
         set_field(self, "d", d)
         set_field(self, "t", t)
         last, total = 1, 0
@@ -254,9 +260,9 @@ def _meeting_keys(lines):
 
 def validate_profile(d: int, t: dict) -> Profile:
     """The profile of d lines with integer counts {r: t_r}, sorted by r;
-    ``Profile`` checks it."""
+    ``Profile`` freezes and checks it."""
     try:
-        return Profile(d, tuple(sorted(t.items())))
+        return Profile(d, sorted(t.items()))
     except TypeError:  # multiplicities that do not sort, so not all ints
         raise BadParameter(f"multiplicities must be ints, got {_repr(list(t))}") from None
 

@@ -32,7 +32,7 @@ from .errors import BadParameter, InternalCheckError, LineSurfError
 from .local import canonical_coefficients, local_invariants
 from .record import _repr, _str
 from .resolution import build_resolution_graph, graph_size, to_dot
-from .surface import global_invariants, hodge_diamond, verdict
+from .surface import _hodge_diamond, _verdict, global_invariants
 from .verify import sweep_verify
 
 _SAFE_INT = 2 ** 53
@@ -156,7 +156,7 @@ def _resolve_input(args) -> tuple[Profile, Optional[int], dict]:
 
 def _build_report(profile: Profile, q: Optional[int], echo: dict) -> dict:
     gi = global_invariants(profile)
-    v = verdict(profile)
+    v = _verdict(profile, gi.c1sq, gi.c2)
     report = {
         "input": echo,
         "k2_bar": gi.k2_bar,
@@ -176,7 +176,7 @@ def _build_report(profile: Profile, q: Optional[int], echo: dict) -> dict:
         "version": __version__,
     }
     if q is not None:
-        report["hodge"] = hodge_diamond(profile, q)._asdict()
+        report["hodge"] = _hodge_diamond(profile, q, gi.c1sq, gi.c2)._asdict()
     return report
 
 

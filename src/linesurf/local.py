@@ -18,7 +18,9 @@ number, the Miyaoka-Yau number, and the per-point Miyaoka-Yau contribution
 E = DMY + (d-1)(r-1)(3-r).  A report computes one per multiplicity, so
 ``LocalInvariants`` and ``CanonicalCoefficients`` are NamedTuples, each built
 as one tuple, where a ``linesurf.record.Record`` such as ``Profile`` sets each
-field through ``object.__setattr__``.
+field through ``object.__setattr__``.  ``local_invariants`` builds its row
+through ``tuple.__new__``, one C call, not the Python ``__new__`` that
+NamedTuple generates; the row's type, fields, equality and repr are the same.
 """
 
 from __future__ import annotations
@@ -85,7 +87,9 @@ def local_invariants(r: int, d: int) -> LocalInvariants:
                + (r - b))
         dcii = 1 + r * lam - (r - 2) * (g - 1)
     dmy = 3 * dcii - dci
-    return LocalInvariants(r, d, dci, dcii, dmy, dmy + (d - 1) * (r - 1) * (3 - r))
+    e = dmy + (d - 1) * (r - 1) * (3 - r)
+    # one C call, not the generated Python __new__ (see the module docstring)
+    return tuple.__new__(LocalInvariants, (r, d, dci, dcii, dmy, e))
 
 
 def _check_star_system(r, d, g, b, terms, vals) -> None:

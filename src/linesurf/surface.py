@@ -11,7 +11,9 @@ Everything aggregates the per-singularity quadruples over the profile:
 plus the sign trichotomy (pencil / near-pencil / the rest), the general-type
 criterion c1^2 > 9 (it holds for every d >= 7 with only nodes and triple
 points, see ``verdict``), and the Hodge numbers from Noether's formula once q
-is supplied.
+is supplied.  ``verdict`` and ``hodge_diamond`` compute (c1^2, c2) themselves;
+their cores ``_verdict`` and ``_hodge_diamond`` take the pair that a caller
+already holds, as the CLI report does from ``global_invariants``.
 """
 
 from __future__ import annotations
@@ -124,8 +126,12 @@ def verdict(p: Profile) -> Verdict:
     so -d; for d = 3k+2, lambda = k+1, the term sum is 2k+3 and b = 2, so
     -(d-2).  With t_3 <= d(d-1)/6, c1^2 >= d[(d-4)^2 - d(d-1)/6] >= 14.
     """
+    return _verdict(p, *chern_numbers(p))
+
+
+def _verdict(p: Profile, c1sq: int, c2: int) -> Verdict:
+    """``verdict`` from p's (c1^2, c2), which the caller has computed."""
     pencil = is_pencil(p)
-    c1sq, c2 = chern_numbers(p)
     my = 3 * c2 - c1sq
     my_sign = (my > 0) - (my < 0)
 
@@ -144,11 +150,15 @@ def verdict(p: Profile) -> Verdict:
 
 def hodge_diamond(p: Profile, q: int) -> HodgeDiamond:
     """Hodge numbers from (c1^2, c2, q) via Noether's formula."""
+    return _hodge_diamond(p, q, *chern_numbers(p))
+
+
+def _hodge_diamond(p: Profile, q: int, c1sq: int, c2: int) -> HodgeDiamond:
+    """``hodge_diamond`` from p's (c1^2, c2), which the caller has computed."""
     if type(q) is not int:
         raise BadParameter(f"irregularity q must be an int, got {_repr(q)}")
     if q < 0:
         raise NegativeHodgeNumber(f"irregularity q must be nonnegative, got {_repr(q)}")
-    c1sq, c2 = chern_numbers(p)
     # with t_2 eliminated, c1^2 + c2 is affine in the t_r: the generic
     # arrangement plus t_r times (one r-fold point, else general, minus
     # generic), all real surfaces obeying Noether, so 12 | c1^2 + c2 always
@@ -180,7 +190,9 @@ def chern_ratio_analysis(p: Profile) -> dict:
         denom = d * (d * d - 4 * d + 6) - 3 * (d - d % 3) * t3
         if d % 3 == 0:
             numer, denom = numer // d, denom // d
-        if ratio != Fraction(1, 3) * (1 + 2 * Fraction(numer, denom)):
+        # ratio = (1/3)(1 + 2 numer/denom), cross-multiplied: denom is c2 or
+        # c2/d, so it is not 0 here
+        if 3 * denom * c1sq != (denom + 2 * numer) * c2:
             raise InternalCheckError(f"nodes-and-triples form disagrees for {p}")
         result["nodes_triples_form"] = {"numer": numer, "denom": denom}
     return result

@@ -19,9 +19,12 @@ from linesurf import (
     catalog_profile,
     cli,
     global_invariants,
+    hodge_diamond,
     local,
     local_invariants,
     resolution,
+    surface,
+    verdict,
 )
 from linesurf.arrangement import CATALOG
 from linesurf.cli import main
@@ -88,6 +91,31 @@ class TestInvariants:
         code, out, _ = run(capsys, "invariants", "--catalog", "hesse", "--format", "json")
         assert code == 0 and calls == [(2, 12), (4, 12)]
         assert [entry["dci"] for entry in json.loads(out)["local"]] == [0, -48]
+
+    def test_report_reads_its_chern_numbers_once(self, capsys, monkeypatch):
+        # global_invariants makes 6 rows for hesse's two multiplicities; the
+        # verdict and the Hodge numbers reuse its (c1^2, c2), where each public
+        # form would call chern_numbers again, 4 rows apiece (14 in all)
+        chern_calls, rows = [], []
+        surface_chern = surface.chern_numbers
+
+        def counted_chern(p):
+            chern_calls.append(p)
+            return surface_chern(p)
+
+        def counted_rows(r, d):
+            rows.append((r, d))
+            return local_invariants(r, d)
+
+        monkeypatch.setattr(surface, "chern_numbers", counted_chern)
+        monkeypatch.setattr(surface, "local_invariants", counted_rows)
+        code, out, _ = run(capsys, "invariants", "--catalog", "hesse", "--format", "json")
+        p = catalog_profile("hesse").profile
+        assert code == 0 and chern_calls == [p] and len(rows) == 6
+        report = json.loads(out)
+        monkeypatch.undo()
+        assert report["verdict"] == dict(vars(verdict(p)))
+        assert report["hodge"] == hodge_diamond(p, 3)._asdict()
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "invariants", "--catalog", "braid", "--n", "5",

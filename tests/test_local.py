@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from linesurf import canonical_coefficients, hj_expand, local_invariants, weight_data
 from linesurf.errors import BadMultiplicity
+from linesurf.local import LocalInvariants
 from linesurf.resolution import BLOWN_DOWN_STAR, STAR
 
 
@@ -103,6 +104,19 @@ class TestLocalInvariants:
                 inv = local_invariants(r, d)
                 assert inv.dci == -d * (r - 2) ** 2 + (2 * r - 5) * (r - 1)
                 assert inv.dcii == d + (r - 1) * (r - 2)
+
+    def test_row_is_the_namedtuple_it_names(self):
+        # local_invariants builds its row with tuple.__new__, bypassing the
+        # NamedTuple's own __new__: the row must be indistinguishable from one
+        # built through it, on every small pair and on test_resolution's huge ones
+        huge = [(r, d) for d in (10**40 + 1, 3**90, 2**130 + 3)
+                for r in (2, 3, 4, 5, 6, 9, 27, 1000, d // 3, d - 1, d)]
+        small = [(r, d) for d in range(2, 301) for r in range(2, d + 1)]
+        for r, d in small + huge:
+            row = local_invariants(r, d)
+            built = LocalInvariants(*row)
+            assert type(row) is LocalInvariants and row == built, (r, d)
+            assert row._asdict() == built._asdict() and repr(row) == repr(built), (r, d)
 
     def test_worked_example(self):
         inv = local_invariants(3, 5)

@@ -178,7 +178,7 @@ BIG = 10**5000  # past the digit limit of int-to-str conversion
 
 # each call takes a number that it refuses: an int past the digit limit of
 # int-to-str conversion, which the message must render through record._repr,
-# or a number that is no int
+# or a number that is no int; or a profile's t that is no iterable of pairs
 BAD_NUMBERS = {
     "weight_data-huge": (lambda: weight_data(10**4301, 5), BadMultiplicity),
     "sweep_verify-huge": (lambda: sweep_verify(10**4301, 5), BadParameter),
@@ -208,6 +208,11 @@ BAD_NUMBERS = {
     "hj_summary-huge-inside": (lambda: hj_summary(BIG + 1, Fraction(BIG)), BadParameter),
     "modular_beta-huge-inside": (lambda: modular_beta(Fraction(BIG), 1), BadParameter),
     "sweep_verify-huge-inside": (lambda: sweep_verify(Fraction(BIG), 5), BadParameter),
+    "Profile-t-int": (lambda: Profile(3, 5), BadParameter),
+    "Profile-t-none": (lambda: Profile(3, None), BadParameter),
+    "Profile-t-short-pair": (lambda: Profile(3, [(3,)]), BadParameter),
+    "Profile-t-long-pair": (lambda: Profile(3, [(3, 1, 0)]), BadParameter),
+    "Profile-t-bare-ints": (lambda: Profile(3, [3, 1]), BadParameter),
 }
 
 
@@ -227,6 +232,19 @@ def test_plain_record_vars_keep_the_field_order(plain_record):
     rec, fields = plain_record
     assert vars(rec) == {name: getattr(rec, name) for name in fields}
     assert list(vars(rec)) == list(fields)
+
+
+def test_profile_freezes_its_pairs():
+    # t may come as any iterable of pairs; it is stored as a tuple of tuples,
+    # so the profile equals, and hashes like, the one built from tuples
+    frozen = Profile(3, ((3, 1),))
+    for t in ([[3, 1]], [(3, 1)], iter([(3, 1)]), ([3, 1] for _ in range(1))):
+        p = Profile(3, t)
+        assert p == frozen and hash(p) == hash(frozen) and p.t == ((3, 1),)
+        assert type(p.t) is tuple and type(p.t[0]) is tuple
+        assert global_invariants(p) == global_invariants(frozen)
+        assert verdict(p) == verdict(frozen)
+    assert len({frozen, Profile(3, [[3, 1]]), validate_profile(3, {3: 1})}) == 1
 
 
 def test_plain_records_differ_by_value():

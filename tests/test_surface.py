@@ -24,6 +24,7 @@ from linesurf import (
 )
 from linesurf.arrangement import CATALOG
 from linesurf.errors import (
+    InternalCheckError,
     NegativeHodgeNumber,
     UnbalancedProfile,
     ZeroSecondChern,
@@ -202,6 +203,19 @@ class TestChernRatio:
         form = out["nodes_triples_form"]
         assert form is not None
         assert out["ratio"] == Fraction(1, 3) * (1 + Fraction(2 * form["numer"], form["denom"]))
+
+    def test_wrong_chern_numbers_fail_the_form(self, monkeypatch):
+        # the form is checked in integers, 3 denom c1^2 == (denom + 2 numer) c2;
+        # any (c1^2, c2) off the true ratio must fail it, for d = 0, 1, 2 (mod 3)
+        for p in (catalog_profile("braid", 4).profile, catalog_profile("braid", 5).profile,
+                  validate_profile(8, {2: 4, 3: 8})):  # d = 10, 15, 8
+            c1sq, c2 = chern_numbers(p)
+            for wrong in ((c1sq + 1, c2), (c1sq, c2 - 1), (-c1sq, c2), (c2, c1sq)):
+                monkeypatch.setattr(surface, "chern_numbers", lambda _, w=wrong: w)
+                with pytest.raises(InternalCheckError, match="nodes-and-triples form"):
+                    chern_ratio_analysis(p)
+            monkeypatch.undo()
+            assert chern_ratio_analysis(p)["ratio"] == Fraction(c1sq, c2)
 
     def test_global_invariants_ratio_field(self):
         gi = global_invariants(catalog_profile("pencil", 3).profile)
