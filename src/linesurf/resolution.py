@@ -28,7 +28,7 @@ O(r^2).
 
 from __future__ import annotations
 
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, pairwise, repeat
 from math import gcd
 from typing import NamedTuple, Optional
 
@@ -92,20 +92,19 @@ class ResolutionGraph(NamedTuple):
                 yield (f"a{ai}_{k}", 0, w)
 
     def arm_root_indices(self) -> tuple[int, ...]:
-        offset = 1 if self.central is not None else 0
-        return tuple(offset + ai * self.lam for ai in range(len(self.arms)))
+        lam, offset = self.lam, 1 if self.central is not None else 0
+        return tuple(range(offset, offset + lam * len(self.arms), lam or 1))  # lam = 0: no arms
 
     def edge_list(self) -> tuple[tuple[int, int], ...]:
-        """Undirected edges as index pairs, deterministic order."""
+        """Undirected edges as index pairs: each arm from the centre to its tip, then a clique."""
         lam = self.lam
         if lam == 0:
             return ()
         edges = []
         roots = self.arm_root_indices()
+        hub = () if self.central is None else (0,)
         for base in roots:
-            if self.central is not None:
-                edges.append((0, base))
-            edges.extend(zip(range(base, base + lam - 1), range(base + 1, base + lam)))
+            edges.extend(pairwise(chain(hub, range(base, base + lam))))
         if self.shape == BLOWN_DOWN_STAR:
             edges.extend(combinations(roots, 2))
         return tuple(edges)
@@ -185,13 +184,15 @@ def _sparse_rows(matrix, rhs: list) -> list[dict[int, int]]:
     {column: nonzero entry}.  Every row, column and entry, and every entry of
     the right-hand side list ``rhs``, is checked in C-level passes, zeros
     included: a row that is not a dict, such as a dense list, raises
-    BadParameter, and a non-int column or entry, a bool included, TypeError."""
+    BadParameter, and a non-int column or entry, a bool included, TypeError;
+    the exact-int test is one pass per list, ending at the first other type."""
     n = len(matrix)
     if not all(map(isinstance, matrix, repeat(dict))):
         raise BadParameter("matrix rows must be dicts {column: entry}")
     cols = list(chain.from_iterable(matrix))
     entries = list(chain.from_iterable(map(dict.values, matrix)))
-    if not set(map(type, chain(cols, entries, rhs))) <= {int}:
+    if not ({int}.issuperset(map(type, cols)) and {int}.issuperset(map(type, entries))
+            and {int}.issuperset(map(type, rhs))):
         raise TypeError("sparse rows and right-hand side need int columns and entries")
     if cols and (min(cols) < 0 or max(cols) >= n):
         raise NotSymmetric("matrix is not square")
@@ -210,13 +211,14 @@ def eliminate(matrix, rhs) -> tuple[list[dict[int, int]], list[int]]:
     - sign(p) a_ik row_k and divides it and rhs_i by a common factor, so every
     row stays a positive multiple of its rational counterpart.  Row i stores
     its off-diagonal entries divided by a positive multiplier m_i, so a pivot
-    whose one lower entry is at column i changes only m_i, a_ii and rhs_i, in
-    O(1), and divides the three by their gcd.  m_i is folded into row i when
-    it becomes the pivot, and before a pivot with several lower entries
-    updates it; a row is rebuilt only when an entry cancels.  Returns the
-    sparse rows, now lower triangular, and the rhs; rows[k][k] has the sign
-    of the k-th pivot.  Intersection matrices lose arm tips first and get no
-    fill-in.  A matrix that is not square and symmetric raises NotSymmetric,
+    whose one lower entry is at column i, read from the pivot row with no list
+    built, changes only m_i, a_ii and rhs_i, in O(1), and divides the three by
+    their gcd.  m_i is folded into row i when it becomes the pivot, and
+    before a pivot with several lower entries updates it; a row is rebuilt
+    only when an entry cancels.  Returns the sparse rows, now lower
+    triangular, and the rhs; rows[k][k] has the sign of the k-th pivot.
+    Intersection matrices lose arm tips first and get no fill-in.  A matrix
+    that is not square and symmetric raises NotSymmetric,
     a row that is not a dict, a non-int entry of the matrix or the right-hand
     side, a bool included, or a right-hand side of another length
     BadParameter, and a zero pivot, from a singular matrix or one that needs
@@ -243,12 +245,10 @@ def eliminate(matrix, rhs) -> tuple[list[dict[int, int]], list[int]]:
         if mult[k] != 1:  # fold the multiplier into the new pivot row
             for j in pivot_row:
                 pivot_row[j] *= mult[k]
-        lower = list(pivot_row.items())  # the columns above k are gone already
-        pivot_row[k] = p
         scale, bk = abs(p), b[k]
-        if len(lower) == 1:
-            # a leaf pivot changes only row i's multiplier, diagonal and rhs
-            (i, v), = lower
+        if len(pivot_row) == 1:  # a leaf pivot: only row i's multiplier, diagonal and rhs change
+            (i, v), = pivot_row.items()
+            pivot_row[k] = p
             row = rows[i]
             factor = mult[i] * (row.pop(k) if p > 0 else -row.pop(k))
             di = scale * row.pop(i, 0) - factor * v
@@ -257,6 +257,8 @@ def eliminate(matrix, rhs) -> tuple[list[dict[int, int]], list[int]]:
             g = gcd(mi, di, bi) or 1  # 0 when a lone diagonal and its rhs cancelled
             row[i], b[i], mult[i] = di // g, bi // g, mi // g or 1
             continue
+        lower = list(pivot_row.items())  # the columns above k are gone already
+        pivot_row[k] = p
         for i, _ in lower:
             row = rows[i]
             factor = mult[i] * (row.pop(k) if p > 0 else -row.pop(k))

@@ -174,3 +174,39 @@ class TestLocalInvariants:
     def test_bounds(self):
         with pytest.raises(BadMultiplicity):
             local_invariants(5, 4)
+
+
+def geometric_genus(r, d):
+    """p_g of G_r(u, v) + t^d = 0 as the sum over s of (s - 1) floor(d (r - s) / r)."""
+    return sum((s - 1) * (d * (r - s) // r) for s in range(2, r))
+
+
+def laufer_holds(r, d):
+    inv = local_invariants(r, d)
+    return (r - 1) ** 2 * (d - 1) == 12 * geometric_genus(r, d) + inv.dci + inv.dcii
+
+
+class TestLaufer:
+    """Laufer's formula mu = 12 p_g + K^2 + chi(E) - 1 reads
+    (r - 1)^2 (d - 1) = 12 p_g + DCI + DCII for this weighted-homogeneous germ:
+    its Milnor number (Milnor-Orlik) and its geometric genus (Merle-Teissier)
+    share nothing with the run walk or the eliminator."""
+
+    def test_sum_is_the_lattice_count(self):
+        # p_g = #{a, b, c >= 1 : d (a + b) + r c <= r d}; each of a, b < r and c < d
+        for d in range(2, 25):
+            for r in range(2, d + 1):
+                count = sum(1 for a in range(1, r) for b in range(1, r) for c in range(1, d)
+                            if d * (a + b) + r * c <= r * d)
+                assert geometric_genus(r, d) == count, (r, d)
+
+    def test_identity_to_d_200(self):
+        for d in range(2, 201):
+            for r in range(2, d + 1):
+                assert laufer_holds(r, d), (r, d)
+
+    @pytest.mark.parametrize("d", [10**40 + 1, 10**40 + 2, 3**90, 2**130, 2**130 + 1])
+    def test_identity_at_huge_degree(self, d):
+        # far past any graph the oracle could build: only the closed forms answer
+        for r in range(2, 13):
+            assert laufer_holds(r, d), (r, d)

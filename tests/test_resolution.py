@@ -159,6 +159,32 @@ class TestShapes:
         clique = {(i, j) for i in roots for j in roots if i < j}
         assert clique <= set(g.edge_list())
 
+    def test_roots_and_edges_from_the_vertex_order(self):
+        # the documented order: the centre first, when present, then each arm
+        # from root to tip; edges run from the centre along each arm, then
+        # pairwise between a blown-down star's roots
+        seen = set()
+        for d in range(2, 61):
+            for r in range(2, d + 1):
+                g = build_resolution_graph(r, d)
+                hub = ["centre"] if g.central is not None else []
+                order = hub + [(i, k) for i, arm in enumerate(g.arms) for k in range(len(arm))]
+                index = {vertex: n for n, vertex in enumerate(order)}
+                arms = [[index[i, k] for k in range(len(arm))] for i, arm in enumerate(g.arms)]
+                roots = tuple(arm[0] for arm in arms)
+                edges = []
+                for arm in arms:
+                    path = [index[v] for v in hub] + arm
+                    edges += zip(path, path[1:])
+                if g.shape == BLOWN_DOWN_STAR:
+                    edges += [(a, b) for x, a in enumerate(roots) for b in roots[x + 1:]]
+                assert g.arm_root_indices() == roots, (r, d)
+                assert g.edge_list() == tuple(edges), (r, d)
+                seen.add((g.shape, r == 2, g.lam == 0))
+        # both node shapes, the centre alone (r = d), and wider stars and blown-down stars
+        assert seen == {(STAR, True, False), (BLOWN_DOWN_STAR, True, False), (STAR, True, True),
+                        (STAR, False, True), (STAR, False, False), (BLOWN_DOWN_STAR, False, False)}
+
     def test_graph_size_counts_vertices_and_edges(self):
         for d in range(2, 61):
             for r in range(2, d + 1):

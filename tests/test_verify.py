@@ -107,6 +107,48 @@ class TestSolveExact:
             solve_exact(dense, [0, -3])
 
 
+class TestTypePassAtTheFarEnd:
+    """The exact-int test reads every column, entry and right-hand side entry:
+    one bad value placed last in a graph matrix of 40 or more rows is refused.
+    The graphs are a chain (2, 41), a blown-down star with a 20-root clique
+    (20, 41) and a star (4, 42)."""
+
+    GRAPHS = [(2, 41), (20, 41), (4, 42)]
+
+    @staticmethod
+    def rows(r, d, column=None, entry=None):
+        """The graph's rows with the last stored item of the last row given a
+        bad column key or a bad entry."""
+        rows = intersection_matrix(build_resolution_graph(r, d))
+        key, value = rows[-1].popitem()
+        placed = (key if column is None else column, value if entry is None else entry)
+        rows[-1][placed[0]] = placed[1]
+        assert len(rows) >= 40 and list(rows[-1].items())[-1] == placed
+        return rows
+
+    @pytest.mark.parametrize("pair", GRAPHS)
+    @pytest.mark.parametrize("bad", [{"column": 1.0}, {"column": True},
+                                     {"entry": 0.0}, {"entry": True}])
+    def test_bad_last_matrix_value(self, pair, bad):
+        rows = self.rows(*pair, **bad)
+        zeros = [0] * len(rows)
+        for call in (lambda: eliminate(rows, zeros), lambda: solve_exact(rows, zeros),
+                     lambda: check_negative_definite(rows)):
+            with pytest.raises(BadParameter):
+                call()
+
+    @pytest.mark.parametrize("pair", GRAPHS)
+    def test_bad_last_rhs_entry(self, pair):
+        rows = self.rows(*pair)
+        rhs = [0] * (len(rows) - 1) + [True]
+        for call in (eliminate, solve_exact):
+            with pytest.raises(BadParameter):
+                call(rows, rhs)
+        # the same system with an int in that place is accepted
+        assert check_negative_definite(rows)
+        solve_exact(rows, rhs[:-1] + [1])
+
+
 def reference_rows(matrix, rhs):
     """Plain Fraction Gauss elimination, highest index first and without row
     exchanges, in the order of ``eliminate``: the rows [M | rhs], now lower
