@@ -28,7 +28,7 @@ O(r^2).
 
 from __future__ import annotations
 
-from itertools import chain, combinations, pairwise, repeat
+from itertools import chain, combinations, repeat
 from math import gcd
 from typing import NamedTuple, Optional
 
@@ -96,17 +96,19 @@ class ResolutionGraph(NamedTuple):
         return tuple(range(offset, offset + lam * len(self.arms), lam or 1))  # lam = 0: no arms
 
     def edge_list(self) -> tuple[tuple[int, int], ...]:
-        """Undirected edges as index pairs: each arm from the centre to its tip, then a clique."""
+        """Undirected edges as index pairs: each arm from the centre to its tip,
+        then a clique; the arms are cut from one list of steps (k, k + 1)."""
         lam = self.lam
         if lam == 0:
             return ()
-        edges = []
         roots = self.arm_root_indices()
-        hub = () if self.central is None else (0,)
-        for base in roots:
-            edges.extend(pairwise(chain(hub, range(base, base + lam))))
-        if self.shape == BLOWN_DOWN_STAR:
+        end = roots[-1] + lam
+        edges = list(zip(range(end - 1), range(1, end)))
+        if self.central is None:
+            del edges[lam - 1::lam]  # the steps from one arm's tip to the next root
             edges.extend(combinations(roots, 2))
+        else:
+            edges[lam::lam] = zip(repeat(0), roots[1:])  # a step into a later root: its spoke
         return tuple(edges)
 
 
@@ -173,8 +175,13 @@ def graph_size(r: int, d: int) -> int:
 def intersection_matrix(graph: ResolutionGraph) -> list[dict[int, int]]:
     """Symmetric sparse rows {column: entry}: diagonal -weight, 1 on adjacent
     vertex pairs, no stored zeros."""
-    rows = [{i: -weight} for i, weight in enumerate(graph.weights())]
-    for i, j in graph.edge_list():
+    return _rows(graph.weights(), graph.edge_list())
+
+
+def _rows(weights: tuple[int, ...], edges: tuple[tuple[int, int], ...]) -> list[dict[int, int]]:
+    """``intersection_matrix`` from a graph's weights and edges, read once by the oracle."""
+    rows = [{i: -weight} for i, weight in enumerate(weights)]
+    for i, j in edges:
         rows[i][j] = rows[j][i] = 1
     return rows
 
@@ -218,18 +225,18 @@ def eliminate(matrix, rhs) -> tuple[list[dict[int, int]], list[int]]:
     only when an entry cancels.  Returns the sparse rows, now lower
     triangular, and the rhs; rows[k][k] has the sign of the k-th pivot.
     Intersection matrices lose arm tips first and get no fill-in.  A matrix
-    that is not square and symmetric raises NotSymmetric,
-    a row that is not a dict, a non-int entry of the matrix or the right-hand
-    side, a bool included, or a right-hand side of another length
+    that is not square and symmetric raises NotSymmetric, a matrix with no
+    length or a row that is not a dict, a non-int entry of the matrix or the
+    right-hand side, a bool included, or a right-hand side of another length
     BadParameter, and a zero pivot, from a singular matrix or one that needs
     a row exchange, SingularMatrix.
     """
-    n = len(matrix)
     try:
-        b = list(rhs)
+        n, b = len(matrix), list(rhs)
         rows = _sparse_rows(matrix, b)
     except TypeError:
-        raise BadParameter("matrix and right-hand side entries must be integers") from None
+        raise BadParameter("need a list of row dicts with int columns and entries, "
+                           "and an int right-hand side") from None
     if len(b) != n:
         raise BadParameter(f"right-hand side has {len(b)} entries for {n} rows")
     for i, row in enumerate(rows):
@@ -289,8 +296,8 @@ def check_negative_definite(m) -> bool:
     leading minors of the index-reversed matrix, a symmetric permutation of M
     with the same definiteness.
     """
-    try:
-        rows, _ = eliminate(m, [0] * len(m))
+    try:  # a matrix with no length, such as None, gets no rhs; eliminate refuses it
+        rows, _ = eliminate(m, [0] * len(m) if hasattr(m, "__len__") else [])
     except SingularMatrix:
         return False
     return all(row[k] < 0 for k, row in enumerate(rows))

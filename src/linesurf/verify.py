@@ -2,15 +2,15 @@
 
 Nothing here reuses the closed forms.  The coefficient vector comes from
 solving M a = k exactly, through the elimination the definiteness test also
-uses, where k_v = 2 g(v) - 2 + w(v) is the adjunction right-hand side; DCI is
-then the quadratic form a^T M a and DCII is the Euler characteristic of the
-exceptional configuration minus one.  The sweep solves each (r, d) once, on
-the sparse rows of ``intersection_matrix``, and compares these against the
-closed forms in :mod:`linesurf.local`, one ``OracleReport`` NamedTuple per
-pair.  The graphs take their arms from ``hj_expand``, one term per step, and
-the closed forms read ``hj_summary``'s run walk, which takes each run of 2s
-in one step, so the sweep also checks these two independent walks against
-each other.
+uses, where k_v = 2 g(v) - 2 + w(v) is the adjunction right-hand side; DCI
+is then the quadratic form a^T M a and DCII is the Euler characteristic of
+the exceptional configuration minus one.  The sweep reads each graph's
+weights and edges once and solves once, on the sparse rows of
+``intersection_matrix``, and compares these against the closed forms in
+:mod:`linesurf.local`, one ``OracleReport`` NamedTuple per pair.  The graphs
+take their arms from ``hj_expand``, one term per step, and the closed forms
+read ``hj_summary``'s run walk, which takes each run of 2s in one step, so
+the sweep also checks these two independent walks against each other.
 ``canonical_coefficients`` runs the star recurrence for every pair and drops
 a_0 on a blown-down star, so the solve on the blown-down graphs checks that
 recurrence and the contraction step too.
@@ -29,9 +29,9 @@ from .resolution import (
     BLOWN_DOWN_STAR,
     STAR,
     ResolutionGraph,
+    _rows,
     build_resolution_graph,
     eliminate,
-    intersection_matrix,
 )
 
 
@@ -66,7 +66,12 @@ def solve_exact(matrix, rhs) -> list[int | Fraction]:
 
 def adjunction_rhs(graph: ResolutionGraph) -> list[int]:
     """k_v = E_v . K = 2 g(v) - 2 + w(v) for every vertex."""
-    rhs = [weight - 2 for weight in graph.weights()]
+    return _rhs(graph, graph.weights())
+
+
+def _rhs(graph: ResolutionGraph, weights: tuple[int, ...]) -> list[int]:
+    """``adjunction_rhs`` on weights that the caller read once."""
+    rhs = [weight - 2 for weight in weights]
     if graph.central is not None:
         rhs[0] += 2 * graph.central[0]
     return rhs
@@ -74,7 +79,12 @@ def adjunction_rhs(graph: ResolutionGraph) -> list[int]:
 
 def coefficients_from_matrix(graph: ResolutionGraph) -> tuple[int, ...]:
     """Solve M a = k on the graph's rows; return the (checked integral) coefficients."""
-    solution = solve_exact(intersection_matrix(graph), adjunction_rhs(graph))
+    return _solve(graph, graph.weights(), graph.edge_list())
+
+
+def _solve(graph: ResolutionGraph, weights, edges) -> tuple[int, ...]:
+    """``coefficients_from_matrix`` on weights and edges that the caller read once."""
+    solution = solve_exact(_rows(weights, edges), _rhs(graph, weights))
     if not set(map(type, solution)) <= {int}:
         raise InternalCheckError(f"non-integral coefficients {solution} for (r, d)="
                                  f"({graph.r}, {graph.d})")
@@ -83,14 +93,14 @@ def coefficients_from_matrix(graph: ResolutionGraph) -> tuple[int, ...]:
 
 def local_invariants_from_graph(graph: ResolutionGraph) -> tuple[int, int]:
     """(oracle DCI, oracle DCII) from the matrix and configuration alone."""
-    return _oracle_invariants(graph, coefficients_from_matrix(graph))
+    return _oracle(graph)[1:]
 
 
-def _oracle_invariants(graph: ResolutionGraph, a: tuple[int, ...]) -> tuple[int, int]:
-    """DCI = a^T M a and DCII from the solved coefficients a of ``graph``."""
+def _oracle(graph: ResolutionGraph) -> tuple[tuple[int, ...], int, int]:
+    """The solved coefficients a, DCI = a^T M a and DCII, reading the graph once."""
     weights, edges = graph.weights(), graph.edge_list()
+    a = _solve(graph, weights, edges)
     dci = 2 * sum(a[i] * a[j] for i, j in edges) - sum(map(mul, map(mul, a, a), weights))
-
     genus = graph.central[0] if graph.central is not None else 0
     chi_curves = 2 * len(weights) - 2 * genus
     if graph.shape == BLOWN_DOWN_STAR:
@@ -102,7 +112,7 @@ def _oracle_invariants(graph: ResolutionGraph, a: tuple[int, ...]) -> tuple[int,
     else:
         excess = len(edges)
     dcii = (chi_curves - excess) - 1
-    return dci, dcii
+    return a, dci, dcii
 
 
 def expected_vertex_coefficients(r: int, d: int) -> tuple[int, ...]:
@@ -121,9 +131,7 @@ def sweep_verify(r_max: int, d_max: int) -> list[OracleReport]:
     reports = []
     for r in range(2, r_max + 1):
         for d in range(r, d_max + 1):
-            graph = build_resolution_graph(r, d)
-            solved = coefficients_from_matrix(graph)
-            oracle_dci, oracle_dcii = _oracle_invariants(graph, solved)
+            solved, oracle_dci, oracle_dcii = _oracle(build_resolution_graph(r, d))
             closed = local_invariants(r, d)
             reports.append(OracleReport(
                 r, d,

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linesurf import (
+    OracleReport,
+    ResolutionGraph,
     build_resolution_graph,
     check_negative_definite,
     coefficients_from_matrix,
@@ -97,6 +99,15 @@ class TestSolveExact:
     def test_rejects_bad_sparse_rows(self, rows, error):
         with pytest.raises(error):
             solve_exact(rows, [0, 0])
+
+    @pytest.mark.parametrize("entry", [check_negative_definite, lambda m: solve_exact(m, [0]),
+                                       lambda m: eliminate(m, [0])],
+                             ids=["check_negative_definite", "solve_exact", "eliminate"])
+    @pytest.mark.parametrize("matrix", [None, 5, 1.5])
+    def test_rejects_a_matrix_with_no_length(self, entry, matrix):
+        # refused as bad input, not left to escape as the TypeError of len()
+        with pytest.raises(BadParameter):
+            entry(matrix)
 
     def test_rejects_dense_rows(self):
         # one matrix form: dense rows are not a second input format
@@ -369,6 +380,49 @@ class TestSweep:
         monkeypatch.setattr(verify, "solve_exact", counting)
         reports = sweep_verify(4, 12)
         assert len(calls) == len(reports)
+
+    def test_one_graph_read_per_pair(self, monkeypatch):
+        # the solve, DCI and DCII share one weights() and one edge_list() per
+        # graph, in the sweep and in local_invariants_from_graph
+        calls = {"weights": 0, "edge_list": 0}
+
+        def counted(name):
+            method = getattr(ResolutionGraph, name)
+
+            def counting(graph):
+                calls[name] += 1
+                return method(graph)
+            return counting
+
+        for name in calls:
+            monkeypatch.setattr(ResolutionGraph, name, counted(name))
+        reports = sweep_verify(4, 12)
+        assert calls == {"weights": len(reports), "edge_list": len(reports)}
+        graphs = [build_resolution_graph(r, d) for r, d in ((3, 5), (3, 7), (2, 9), (5, 5))]
+        for name in calls:
+            calls[name] = 0
+        for g in graphs:
+            local_invariants_from_graph(g)
+        assert calls == {"weights": len(graphs), "edge_list": len(graphs)}
+
+    def test_matches_the_public_per_graph_path(self):
+        # each report equals the one built from the public per-graph calls,
+        # which read the graph again for each quantity
+        reports = sweep_verify(10, 60)
+        assert len(reports) == 495
+        for rep in reports:
+            g = build_resolution_graph(rep.r, rep.d)
+            oracle_dci, oracle_dcii = local_invariants_from_graph(g)
+            closed = local_invariants(rep.r, rep.d)
+            assert rep == OracleReport(
+                rep.r, rep.d,
+                coefficients_match=coefficients_from_matrix(g)
+                == expected_vertex_coefficients(rep.r, rep.d),
+                dci_match=oracle_dci == closed.dci,
+                dcii_match=oracle_dcii == closed.dcii,
+                oracle_dci=oracle_dci,
+                oracle_dcii=oracle_dcii,
+            ), (rep.r, rep.d)
 
     def test_report_fields(self):
         rep = sweep_verify(3, 5)[-1]
