@@ -17,13 +17,14 @@ Vertex order is fixed everywhere: central first (when present), then arm 1
 root to tip, arm 2, and so on; only DOT names the nodes: ``c`` and
 ``a<arm>_<pos>``.  A matrix has one form everywhere: a list of sparse
 integer rows {column: nonzero entry}.  ``intersection_matrix`` builds these
-rows from the weights and edges in O(vertices + edges), and ``eliminate``,
-the package's one exact elimination, takes only such rows and updates a copy
-in place: the definiteness test reads its pivot signs and the oracle solve in
-:mod:`linesurf.verify` its rows.  Each row carries a positive multiplier for
-its off-diagonal entries, so a pivot with one lower neighbour, such as an arm
-vertex, updates that neighbour in O(1), and a star's centre costs O(r), not
-O(r^2).
+rows from the weights and edges in O(vertices + edges).  ``eliminate``
+checks and copies such rows for the package's one exact elimination, its
+core ``_pivots``, which updates them in place: the definiteness test reads
+its pivot signs, and the oracle in :mod:`linesurf.verify` hands it the rows
+that ``_rows`` has just built, with no second check or copy.  Each row
+carries a positive multiplier for its off-diagonal entries, so a pivot with
+one lower neighbour, such as an arm vertex, updates that neighbour in O(1),
+and a star's centre costs O(r), not O(r^2).
 """
 
 from __future__ import annotations
@@ -213,23 +214,13 @@ def eliminate(matrix, rhs) -> tuple[list[dict[int, int]], list[int]]:
     """Integer elimination of the symmetric system M x = rhs, highest index first.
 
     ``matrix``, a list of row dicts {column: entry} such as
-    ``intersection_matrix`` returns, is copied into sparse rows, which are
-    then updated in place.  Pivot p = a_kk turns each row i < k into |p| row_i
-    - sign(p) a_ik row_k and divides it and rhs_i by a common factor, so every
-    row stays a positive multiple of its rational counterpart.  Row i stores
-    its off-diagonal entries divided by a positive multiplier m_i, so a pivot
-    whose one lower entry is at column i, read from the pivot row with no list
-    built, changes only m_i, a_ii and rhs_i, in O(1), and divides the three by
-    their gcd.  m_i is folded into row i when it becomes the pivot, and
-    before a pivot with several lower entries updates it; a row is rebuilt
-    only when an entry cancels.  Returns the sparse rows, now lower
-    triangular, and the rhs; rows[k][k] has the sign of the k-th pivot.
-    Intersection matrices lose arm tips first and get no fill-in.  A matrix
-    that is not square and symmetric raises NotSymmetric, a matrix with no
-    length or a row that is not a dict, a non-int entry of the matrix or the
-    right-hand side, a bool included, or a right-hand side of another length
-    BadParameter, and a zero pivot, from a singular matrix or one that needs
-    a row exchange, SingularMatrix.
+    ``intersection_matrix`` returns, and ``rhs`` are checked and copied, and
+    ``_pivots`` eliminates the copies in place, so the caller's lists are left
+    as they were.  A matrix that is not square and symmetric raises
+    NotSymmetric, a matrix with no length or a row that is not a dict, a
+    non-int entry of the matrix or the right-hand side, a bool included, or a
+    right-hand side of another length BadParameter, and a zero pivot
+    SingularMatrix (see ``_pivots``).
     """
     try:
         n, b = len(matrix), list(rhs)
@@ -239,6 +230,28 @@ def eliminate(matrix, rhs) -> tuple[list[dict[int, int]], list[int]]:
                            "and an int right-hand side") from None
     if len(b) != n:
         raise BadParameter(f"right-hand side has {len(b)} entries for {n} rows")
+    return _pivots(rows, b)
+
+
+def _pivots(rows: list[dict[int, int]], b: list[int]) -> tuple[list[dict[int, int]], list[int]]:
+    """``eliminate``'s core, in place on square sparse int rows, with no
+    stored zero off the diagonal, and an int rhs of their length: the oracle
+    hands it the rows that ``_rows`` has just built.  Pivot p = a_kk turns
+    each row i < k into |p| row_i - sign(p) a_ik row_k and divides it and
+    rhs_i by a common factor, so every row stays a positive multiple of its
+    rational counterpart.  Row i stores its off-diagonal entries divided by a
+    positive multiplier m_i, so a pivot whose one lower entry is at column i,
+    read from the pivot row with no list built, changes only m_i, a_ii and
+    rhs_i, in O(1), and divides the three by their gcd.  m_i is folded into
+    row i when it becomes the pivot, and before a pivot with several lower
+    entries updates it; a row is rebuilt only when an entry cancels.  Returns
+    the sparse rows, now lower triangular, and the rhs; rows[k][k] has the
+    sign of the k-th pivot.  Intersection matrices lose arm tips first and
+    get no fill-in.  A matrix that is not symmetric raises NotSymmetric, and
+    a zero pivot, from a singular matrix or one that needs a row exchange,
+    SingularMatrix.
+    """
+    n = len(rows)
     for i, row in enumerate(rows):
         for j, v in row.items():
             if rows[j].get(i) != v:

@@ -5,8 +5,12 @@ solving M a = k exactly, through the elimination the definiteness test also
 uses, where k_v = 2 g(v) - 2 + w(v) is the adjunction right-hand side; DCI
 is then the quadratic form a^T M a and DCII is the Euler characteristic of
 the exceptional configuration minus one.  The sweep reads each graph's
-weights and edges once and solves once, on the sparse rows of
-``intersection_matrix``, and compares these against the closed forms in
+weights and edges once and checks them once (int weights and central genus,
+a bool refused, and arms of one length, or BadParameter).  It eliminates the
+sparse rows of ``intersection_matrix`` that it builds from them with no
+second type pass or copy, through ``resolution._pivots`` and one forward
+substitution, the two that ``solve_exact`` runs after ``eliminate``'s checks
+and copy, and compares the results against the closed forms in
 :mod:`linesurf.local`, one ``OracleReport`` NamedTuple per pair.  The graphs
 take their arms from ``hj_expand``, one term per step, and the closed forms
 read ``hj_summary``'s run walk, which takes each run of 2s in one step, so
@@ -29,6 +33,7 @@ from .resolution import (
     BLOWN_DOWN_STAR,
     STAR,
     ResolutionGraph,
+    _pivots,
     _rows,
     build_resolution_graph,
     eliminate,
@@ -52,10 +57,17 @@ class OracleReport(NamedTuple):
 def solve_exact(matrix, rhs) -> list[int | Fraction]:
     """Exact solve of a symmetric integer system M x = rhs, given as row dicts
     {column: entry}: forward substitution through the lower-triangular rows
-    of ``eliminate``, which refuses a matrix that is not symmetric.  Each
-    component is an ``int`` when integral and a ``Fraction`` otherwise.  A zero
-    pivot raises SingularMatrix even if a row exchange gives a unique solution."""
-    rows, b = eliminate(matrix, rhs)
+    of ``eliminate``, which checks and copies the rows and rhs, so the
+    caller's are left as they were, and refuses a matrix that is not
+    symmetric.  Each component is an ``int`` when integral and a ``Fraction``
+    otherwise.  A zero pivot raises SingularMatrix even if a row exchange
+    gives a unique solution."""
+    return _forward(*eliminate(matrix, rhs))
+
+
+def _forward(rows: list[dict[int, int]], b: list[int]) -> list[int | Fraction]:
+    """Forward substitution through the lower-triangular rows and rhs that
+    ``resolution._pivots`` returns, popping each diagonal."""
     x: list = []
     for i, row in enumerate(rows):
         p = row.pop(i)
@@ -65,15 +77,24 @@ def solve_exact(matrix, rhs) -> list[int | Fraction]:
 
 
 def adjunction_rhs(graph: ResolutionGraph) -> list[int]:
-    """k_v = E_v . K = 2 g(v) - 2 + w(v) for every vertex."""
+    """k_v = E_v . K = 2 g(v) - 2 + w(v) for every vertex; a malformed graph
+    raises BadParameter, from the check in ``_rhs``."""
     return _rhs(graph, graph.weights())
 
 
 def _rhs(graph: ResolutionGraph, weights: tuple[int, ...]) -> list[int]:
-    """``adjunction_rhs`` on weights that the caller read once."""
+    """``adjunction_rhs`` on weights that the caller read once, after the one
+    check of the graph: every weight and the central genus an exact int, a
+    bool refused, and the arms of one length, or BadParameter.  ``_rows``
+    then builds square int rows from the graph's weights and edges."""
+    genus = 0 if graph.central is None else graph.central[0]
+    if not ({int}.issuperset(map(type, weights)) and type(genus) is int
+            and len(set(map(len, graph.arms))) < 2):
+        raise BadParameter(f"graph (r, d)=({_repr(graph.r)}, {_repr(graph.d)}) needs int "
+                           f"weights and central genus and arms of one length")
     rhs = [weight - 2 for weight in weights]
     if graph.central is not None:
-        rhs[0] += 2 * graph.central[0]
+        rhs[0] += 2 * genus
     return rhs
 
 
@@ -83,8 +104,12 @@ def coefficients_from_matrix(graph: ResolutionGraph) -> tuple[int, ...]:
 
 
 def _solve(graph: ResolutionGraph, weights, edges) -> tuple[int, ...]:
-    """``coefficients_from_matrix`` on weights and edges that the caller read once."""
-    solution = solve_exact(_rows(weights, edges), _rhs(graph, weights))
+    """``coefficients_from_matrix`` on weights and edges that the caller read
+    once: ``_rhs`` checks the graph before ``_rows`` builds its rows, which
+    then go to ``_pivots`` as they are, not through ``eliminate``'s checks
+    and copy."""
+    b = _rhs(graph, weights)
+    solution = _forward(*_pivots(_rows(weights, edges), b))
     if not set(map(type, solution)) <= {int}:
         raise InternalCheckError(f"non-integral coefficients {solution} for (r, d)="
                                  f"({graph.r}, {graph.d})")

@@ -1,6 +1,7 @@
 """Tests for the matrix-based oracle and the closed-form comparison sweep."""
 
 from collections import OrderedDict
+from copy import deepcopy
 from fractions import Fraction
 from itertools import chain
 
@@ -18,9 +19,9 @@ from linesurf import (
     local_invariants_from_graph,
     sweep_verify,
 )
-from linesurf import verify
+from linesurf import resolution, verify
 from linesurf.errors import BadParameter, LineSurfError, NotSymmetric, SingularMatrix
-from linesurf.resolution import eliminate
+from linesurf.resolution import _pivots, _rows, eliminate
 from linesurf.verify import (
     adjunction_rhs,
     expected_vertex_coefficients,
@@ -258,6 +259,7 @@ def assert_matches_reference(matrix, rhs):
     of eliminate is a positive multiple of the reference row, with the same
     entries stored, and a zero pivot raises SingularMatrix at its index."""
     rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    before = deepcopy((rows, rhs))
     expected = reference_rows(matrix, rhs)
     if expected is None:
         with pytest.raises(SingularMatrix) as raised:
@@ -275,6 +277,7 @@ def assert_matches_reference(matrix, rhs):
             assert q > 0 and all(ref[j] == q * v for j, v in row.items()) and ref[-1] == q * b[i]
         assert solve_exact(rows, rhs) == reference_solve(expected)
     assert check_negative_definite(rows) == reference_negative_definite(matrix)
+    assert (rows, rhs) == before  # the three entry points work on copies
 
 
 class TestAgainstFractionReference:
@@ -332,6 +335,32 @@ class TestGraphRows:
                 edges = set(g.edge_list())
                 assert stored == edges | {(j, i) for i, j in edges}, (r, d)
 
+    def test_public_entry_points_leave_the_callers_lists(self):
+        # eliminate, solve_exact and check_negative_definite check and copy
+        # the caller's rows and rhs before any pivot updates them in place
+        for d in range(2, 41):
+            for r in range(2, d + 1):
+                g = build_resolution_graph(r, d)
+                rows, rhs = intersection_matrix(g), adjunction_rhs(g)
+                before = deepcopy((rows, rhs))
+                for call in (eliminate, solve_exact, lambda m, _: check_negative_definite(m)):
+                    call(rows, rhs)
+                    assert (rows, rhs) == before, (r, d, call)
+
+    def test_core_on_graph_rows_matches_eliminate(self):
+        # the oracle hands the rows that _rows builds straight to _pivots:
+        # the same rows, in the same order, and rhs as through eliminate
+        for d in range(2, 61):
+            for r in range(2, d + 1):
+                g = build_resolution_graph(r, d)
+                weights, edges = g.weights(), g.edge_list()
+                for rhs in ([0] * len(weights), adjunction_rhs(g)):
+                    rows, b = eliminate(intersection_matrix(g), rhs)
+                    core_rows, core_b = _pivots(_rows(weights, edges), list(rhs))
+                    assert core_b == b, (r, d, rhs)
+                    assert list(map(list, map(dict.items, core_rows))) \
+                        == list(map(list, map(dict.items, rows))), (r, d, rhs)
+
 
 class TestOracle:
     def test_adjunction_rhs(self):
@@ -359,6 +388,22 @@ class TestOracle:
         inv = local_invariants(3, 7)
         assert local_invariants_from_graph(g) == (inv.dci, inv.dcii)
 
+    @pytest.mark.parametrize("fields", [
+        {"central": ("1", 4)},              # a str genus
+        {"central": (1, None)},             # no central weight
+        {"central": (0, 4.0)},              # a float central weight
+        {"arms": ((2, 3), (2,), (2, 3))},   # arms of two lengths
+        {"arms": ((True, 3),) * 3},         # a bool weight
+        {"arms": ((2.0, 3),) * 3},          # a float weight
+    ])
+    def test_refuses_a_malformed_graph(self, fields):
+        # one check of the hand-built graph, before its rows are built, not a
+        # TypeError, IndexError or InternalCheckError from deeper down
+        g = build_resolution_graph(3, 5)._replace(**fields)
+        for call in (coefficients_from_matrix, local_invariants_from_graph, adjunction_rhs):
+            with pytest.raises(BadParameter):
+                call(g)
+
     def test_expected_vector_matches_order(self):
         assert expected_vertex_coefficients(3, 5) == (-3, -2, -1, -2, -1, -2, -1)
         assert expected_vertex_coefficients(2, 4) == (0, 0, 0)
@@ -371,13 +416,17 @@ class TestSweep:
         assert all(rep.ok for rep in reports)
 
     def test_one_solve_per_pair(self, monkeypatch):
+        # every elimination runs the core _pivots, the oracle's straight from
+        # verify and a public solve's through eliminate, so a second solve on
+        # either path is counted
         calls = []
 
-        def counting(matrix, rhs):
-            calls.append(matrix)
-            return solve_exact(matrix, rhs)
+        def counting(rows, b):
+            calls.append(rows)
+            return _pivots(rows, b)
 
-        monkeypatch.setattr(verify, "solve_exact", counting)
+        monkeypatch.setattr(verify, "_pivots", counting)
+        monkeypatch.setattr(resolution, "_pivots", counting)
         reports = sweep_verify(4, 12)
         assert len(calls) == len(reports)
 
