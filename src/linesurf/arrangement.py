@@ -6,9 +6,12 @@ denominators cleared, gcd 1, first nonzero entry positive, so two lines are
 equal exactly when they are the same projective line.  Its combinatorial
 profile records, for each multiplicity r >= 2, the number t_r of points lying
 on exactly r lines.  ``profile_of`` groups the later lines through each point
-of each line by two coordinates of the integer cross product, which the
-line's equation completes; a point on r lines forms one group of each size
-1, ..., r - 1, so t_r = n_{r-1} - n_r for n_s groups of size s.  The profile
+of each line by the ratio u : v of two coordinates of the integer cross
+product, which the line's equation completes; a point on r lines forms one
+group of each size 1, ..., r - 1, so t_r = n_{r-1} - n_r for n_s groups of
+size s.  A meeting's key is one exact int, i*W + floor(u*N/v), while the
+coefficients have fewer than FLOOR_KEY_BITS bits, and the gcd-normalised
+(i, u, v) from there on (see ``profile_of``).  The profile
 is all that the downstream invariant machinery consumes, so named
 arrangements whose natural coordinates are not rational (Hesse, Ceva) enter
 through a catalog of profiles instead of coordinates.
@@ -24,6 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from math import comb, gcd, lcm
 from typing import Callable, NamedTuple, Optional
 
@@ -43,6 +47,14 @@ from .record import Record, _repr, _str, set_field
 # carry: Fraction("1e<k>") builds 10**k, so k is held to the default digit
 # limit of int(str).
 MAX_EXPONENT = 4300
+
+# Bit length of the largest coefficient from which ``profile_of`` keys each
+# meeting by a gcd-normalised pair instead of one floor(u*N/v) int.  On 80
+# random lines the floor key took x0.61-0.70 of the gcd key's time up to 384
+# bits, x0.71 at 512, x0.82 at 640, x0.94 at 1024, x1.09 at 1280, x1.27 at
+# 2048, and x5.4 on the 28,000-bit file of scripts/profile_of_timing.py
+# (Python 3.11, 2-vCPU Xeon VM), so the cutover sits below the crossover.
+FLOOR_KEY_BITS = 512
 
 
 class Line(Record):
@@ -186,6 +198,7 @@ def parse_arrangement(text: str) -> Arrangement:
 
     Rational tokens (`p/q`, integers or decimals), `#` comments, blank lines
     ignored.  A decimal exponent beyond MAX_EXPONENT in magnitude is refused.
+    Errors name file lines, counted from 1 with comments and blanks.
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -200,7 +213,17 @@ def parse_arrangement(text: str) -> Arrangement:
             lines.append(Line(*_primitive(coeffs)))
         except ZeroForm:
             raise ZeroForm(f"line {lineno}: all coefficients are zero") from None
-    return Arrangement(tuple(lines))
+    try:
+        return Arrangement(tuple(lines))
+    except DuplicateLine:
+        # name the file lines of the first repeat, not its arrangement indices
+        linenos = [lineno for lineno, raw in enumerate(text.splitlines(), start=1)
+                   if raw.split("#", 1)[0].strip()]
+        first: dict[Line, int] = {}
+        for line, lineno in zip(lines, linenos):
+            if first.setdefault(line, lineno) != lineno:
+                raise DuplicateLine(f"lines {first[line]} and {lineno} coincide") from None
+        raise
 
 
 def _rational(tok: str, lineno: int) -> tuple[int, int]:
@@ -230,11 +253,25 @@ def profile_of(arr: Arrangement) -> Profile:
     Line i meets each later line j in the point P = L_i x L_j.  If k is the
     first index where L_i is nonzero, L_i . P = 0 gives P_k from the other two
     coordinates (u, v), which are not both zero as the lines are distinct.
-    So (u, v), made primitive with its first nonzero entry positive, fixes P
-    among the points of line i, and the pair counts under the key (i, u, v).
-    A point on r lines is met from its first r - 1 lines in groups of r - 1,
-    r - 2, ..., 1 later lines, so with n_s groups of size s,
-    t_r = n_{r-1} - n_r.
+    So the ratio u : v fixes P among the points of line i, and the pair counts
+    under one key of (i, u : v).  A point on r lines is met from its first
+    r - 1 lines in groups of r - 1, r - 2, ..., 1 later lines, so with n_s
+    groups of size s, t_r = n_{r-1} - n_r.
+
+    While the largest absolute coefficient M has fewer than FLOOR_KEY_BITS
+    bits, the key is one int, i*W + floor(u*N/v), with the slot K*N + 1 for
+    v = 0.  Here K = 2M^2, so K >= |u| and K >= |v|, and N is a power of two
+    above K^2:
+      * equal ratios give equal keys, as floor(u*N/v) depends only on u/v;
+      * distinct ratios give distinct keys: they differ by at least
+        1/|v*v'| >= 1/K^2 > 1/N, so u*N/v and u'*N/v' differ by more than 1
+        and so do their floors;
+      * lines do not overlap: |floor(u*N/v)| <= K*N, so line i's keys and its
+        slot lie in i*W + [-K*N, K*N + 1], and W = 2(K*N + 1) + 1 keeps these
+        ranges apart.
+    From FLOOR_KEY_BITS bits on, the key is (i, u/g, v/g) with g = +-gcd(u, v)
+    and the first nonzero entry positive: u*N, about six times M's length,
+    then costs more to divide than the gcd does.
     """
     groups = Counter(_meeting_keys([(line.a, line.b, line.c) for line in arr.lines]))
     n = Counter(groups.values())
@@ -247,6 +284,24 @@ def _meeting_keys(lines):
     # a cyclic shift commutes with the cross product, so (u, v) are the
     # shifted P's last two coordinates, four products in all
     rotations = (lines, [(b, c, a) for a, b, c in lines], [(c, a, b) for a, b, c in lines])
+    m = max(map(abs, chain.from_iterable(lines)))
+    if m.bit_length() >= FLOOR_KEY_BITS:
+        return _gcd_keys(lines, rotations)
+    k = 2 * m * m
+    shift = (k * k).bit_length()  # N = 2**shift > K^2
+    slot = (k << shift) + 1
+    width = 2 * slot + 1
+    # one comprehension builds every line's row: one per line costs a call
+    # each, x1.17 of the gcd key's time on six lines against x1.06
+    return [base + ((c1 * a2 - a1 * c2) << shift) // v if (v := a1 * b2 - b1 * a2)
+            else base + slot
+            for i, (a, b, _) in enumerate(lines)
+            for rotated in (rotations[0 if a else 1 if b else 2],)
+            for (a1, b1, c1), base in ((rotated[i], i * width),)
+            for a2, b2, c2 in rotated[i + 1:]]
+
+
+def _gcd_keys(lines, rotations):
     for i, (a, b, _) in enumerate(lines):
         rotated = rotations[0 if a else 1 if b else 2]
         a1, b1, c1 = rotated[i]

@@ -21,7 +21,8 @@ from linesurf import (
     profile_of,
     validate_profile,
 )
-from linesurf.arrangement import CATALOG, MAX_EXPONENT, _rational
+from linesurf import arrangement
+from linesurf.arrangement import CATALOG, FLOOR_KEY_BITS, MAX_EXPONENT, _rational
 from linesurf.errors import (
     BadParameter,
     DuplicateLine,
@@ -56,10 +57,11 @@ def _reference_token(tok, lineno):
 def _reference_parse(text):
     """The line-list parser on ``Fraction``s: each token through
     ``_reference_token``, each row divided by its first nonzero entry and then
-    scaled by the lcm of its denominators.  Returns the arrangement, or the
-    type and message of the error raised."""
+    scaled by the lcm of its denominators.  A repeated line is named by the
+    file lines of its first repeat.  Returns the arrangement, or the type and
+    message of the error raised."""
     try:
-        lines = []
+        lines, seen, repeat = [], {}, None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             tokens = raw.split("#", 1)[0].split()
             if not tokens:
@@ -73,6 +75,11 @@ def _reference_parse(text):
             scaled = [v / lead for v in coeffs]
             scale = lcm(*(v.denominator for v in scaled))
             lines.append(Line(*(int(v * scale) for v in scaled)))
+            first = seen.setdefault(lines[-1], lineno)
+            if first != lineno and not repeat:
+                repeat = first, lineno
+        if repeat:
+            raise DuplicateLine("lines %d and %d coincide" % repeat)
         return Arrangement(tuple(lines))
     except LineSurfError as exc:
         return type(exc), str(exc)
@@ -181,6 +188,14 @@ class TestParse:
         with pytest.raises(DuplicateLine):
             parse_arrangement("1 0 0\n2 0 0\n")
 
+    def test_duplicates_name_file_lines(self):
+        # comments and blanks count as file lines; a directly built
+        # arrangement still names its own indices
+        with pytest.raises(DuplicateLine, match="^lines 3 and 5 coincide$"):
+            parse_arrangement("# header\n\n1 0 0\n0 1 0 # y\n2 0 0\n")
+        with pytest.raises(DuplicateLine, match="^lines 1 and 3 coincide$"):
+            Arrangement((Line(1, 0, 0), Line(0, 1, 0), Line(1, 0, 0)))
+
     def test_too_few(self):
         with pytest.raises(TooFewLines):
             parse_arrangement("1 0 0\n")
@@ -269,6 +284,31 @@ class TestProfile:
         rows = _random_rows(seed)
         text = "".join(" ".join(str(v) for v in row) + "\n" for row in rows)
         assert dict(profile_of(parse_arrangement(text)).t) == _fraction_profile(rows)
+
+    @pytest.mark.parametrize("bits", [8, FLOOR_KEY_BITS, 2 * FLOOR_KEY_BITS + 64],
+                             ids=["8-bit", "cutover", "past-cutover"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_change_of_coordinates(self, seed, bits, monkeypatch):
+        # an invertible integer matrix with entries of about `bits` bits moves
+        # the lines and keeps every incidence; the profile matches the Fraction
+        # grouping on the key the coefficients select and on each key forced
+        rng = random.Random(seed)
+        rows = _random_rows(seed)
+        while True:
+            m = [[rng.randrange(-2 ** bits, 2 ** bits) for _ in range(3)] for _ in range(3)]
+            if sum(map(mul, m[0], _cross(m[1], m[2]))):
+                break
+        moved = [tuple(sum(map(mul, row, column)) for column in zip(*m)) for row in rows]
+        text = "".join(" ".join(str(v) for v in row) + "\n" for row in moved)
+        arr = parse_arrangement(text)
+        top = max(abs(v) for line in arr.lines for v in (line.a, line.b, line.c)).bit_length()
+        assert (top < FLOOR_KEY_BITS) == (bits == 8)
+        expected = _fraction_profile(moved)
+        assert expected == _fraction_profile(rows)
+        assert dict(profile_of(arr).t) == expected
+        for cutover in (0, 10 ** 9):
+            monkeypatch.setattr(arrangement, "FLOOR_KEY_BITS", cutover)
+            assert dict(profile_of(arr).t) == expected
 
     @given(st.randoms(use_true_random=False))
     def test_profile_invariant_under_reorder_and_rescale(self, rng):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from linesurf import chern_ratio_analysis, local_invariants, validate_profile
+from linesurf.arrangement import FLOOR_KEY_BITS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -76,9 +77,13 @@ def test_profile_of_timing():
     assert (done.returncode, done.stderr) == (0, ""), done.stderr
     report = json.loads(done.stdout)
     assert report["passes"] == 2
-    for name, d in (("random", 6), ("hostile", 4)):
+    assert report["floor_key_bits"] == FLOOR_KEY_BITS
+    # the benchmark's 200-line file and the random one below the cutover,
+    # the hostile one far past it
+    for name, d, below in (("large", 200, True), ("random", 6, True), ("hostile", 4, False)):
         timing = report[name]
         assert timing["lines"] == d
+        assert (timing["max_bits"] < FLOOR_KEY_BITS) == below
         assert 0 < timing["min_s"] <= timing["median_s"]
         # the profile is balanced: every pair of lines meets in one point
         assert sum(comb(int(r), 2) * count for r, count in timing["t"].items()) == comb(d, 2)
