@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Time profile_of on three seeded coordinate files and print the medians as JSON.
+"""Time parse_arrangement and profile_of on seeded coordinate files; print the medians as JSON.
 
-The inputs are built once, parsed once, and then profile_of runs --passes
-times on each; only those calls are timed.  The three files are
+The inputs are built once; then parse_arrangement runs --passes times on
+each, and profile_of --passes times on each parsed arrangement, and only
+those calls are timed.  The three files are
   * large: the benchmark's 200-line arrangement of coefficients in [-6, 6]
     with many multiple points, drawn and rendered as the first large file of
     the arrangement-files workload with seed 0;
@@ -15,9 +16,13 @@ times on each; only those calls are timed.  The three files are
 The JSON gives, for each file, its line count, the bit length of its largest
 primitive coefficient (profile_of keys meetings by one floor int below
 linesurf.arrangement.FLOOR_KEY_BITS, which it also prints, and by gcd pairs
-from there on), the median and the fastest of the passes in seconds, and the
-profile found.  The medians of two source trees compare when they run on one
-machine, one tree after the other.
+from there on), the median and the fastest of the profile_of passes in
+seconds, the median parse_arrangement pass, and the profile found.  Under
+"small" it gives the 40 small texts that follow the large file in the same
+seeded period of the arrangement-files workload: their count, their total
+line count, and the median and the fastest of the passes that parse all 40.
+The medians of two source trees compare when they run on one machine, one
+tree after the other.
 
 Example:
     python3 scripts/profile_of_timing.py --passes 5
@@ -35,7 +40,8 @@ from linesurf import parse_arrangement, profile_of
 from linesurf.arrangement import FLOOR_KEY_BITS
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import LARGE_D, LARGE_POOL, _primitive_lines, random_lines_text, render
+from workloads import (LARGE_D, LARGE_POOL, PERIOD_SMALL, SMALL_D, SMALL_POOL, _primitive_lines,
+                       random_lines_text, render)
 
 DIGITS, EXPONENT, SEED = 50, 4200, 0
 
@@ -50,12 +56,27 @@ def hostile_text(n: int) -> str:
     return "".join(f"{token()} {token()} {token()}\n" for _ in range(n))
 
 
-def large_text() -> str:
+def period_texts() -> tuple[str, list[str]]:
+    """The large text and the small ones of the workload's first period at SEED."""
     rng = random.Random(SEED)
-    return render(rng.sample(_primitive_lines(LARGE_POOL), LARGE_D), rng)
+    large = render(rng.sample(_primitive_lines(LARGE_POOL), LARGE_D), rng)
+    small = _primitive_lines(SMALL_POOL)
+    return large, [render(rng.sample(small, SMALL_D[i % len(SMALL_D)]), rng)
+                   for i in range(PERIOD_SMALL)]
+
+
+def parse_seconds(texts: list[str], passes: int) -> list[float]:
+    seconds = []
+    for _ in range(passes):
+        start = time.perf_counter()
+        for text in texts:
+            parse_arrangement(text)
+        seconds.append(time.perf_counter() - start)
+    return seconds
 
 
 def timing(text: str, passes: int) -> dict:
+    parse = parse_seconds([text], passes)
     arrangement = parse_arrangement(text)
     seconds = []
     for _ in range(passes):
@@ -65,6 +86,7 @@ def timing(text: str, passes: int) -> dict:
     top = max(max(abs(line.a), abs(line.b), abs(line.c)) for line in arrangement.lines)
     return {"lines": arrangement.d, "max_bits": top.bit_length(),
             "median_s": statistics.median(seconds), "min_s": min(seconds),
+            "parse_median_s": statistics.median(parse),
             "t": {str(r): count for r, count in profile.t}}
 
 
@@ -77,10 +99,14 @@ def main() -> int:
     if args.passes < 1 or args.random_lines < 2 or args.hostile_lines < 2:
         parser.error("--passes must be >= 1 and each line count >= 2")
 
-    texts = {"large": large_text(), "random": random_lines_text(args.random_lines, SEED),
+    large, small = period_texts()
+    texts = {"large": large, "random": random_lines_text(args.random_lines, SEED),
              "hostile": hostile_text(args.hostile_lines)}
     report = {"passes": args.passes, "floor_key_bits": FLOOR_KEY_BITS}
     report.update((name, timing(text, args.passes)) for name, text in texts.items())
+    parse = parse_seconds(small, args.passes)
+    report["small"] = {"texts": len(small), "lines": sum(parse_arrangement(t).d for t in small),
+                       "parse_median_s": statistics.median(parse), "parse_min_s": min(parse)}
     print(json.dumps(report, indent=1))
     return 0
 

@@ -1,18 +1,21 @@
 """Rational line arrangements in the projective plane and their profiles.
 
 An arrangement is an ordered list of distinct lines a*x + b*y + c*z = 0 with
-rational coefficients.  Each line is stored as its primitive integer triple:
-denominators cleared, gcd 1, first nonzero entry positive, so two lines are
-equal exactly when they are the same projective line.  Its combinatorial
-profile records, for each multiplicity r >= 2, the number t_r of points lying
-on exactly r lines.  ``profile_of`` groups the later lines through each point
-of each line by the ratio u : v of two coordinates of the integer cross
-product, which the line's equation completes; a point on r lines forms one
-group of each size 1, ..., r - 1, so t_r = n_{r-1} - n_r for n_s groups of
-size s.  A meeting's key is one exact int, i*W + floor(u*N/v), while the
-coefficients have fewer than FLOOR_KEY_BITS bits, and the gcd-normalised
-(i, u, v) from there on (see ``profile_of``).  The profile
-is all that the downstream invariant machinery consumes, so named
+rational coefficients.  A coordinate file's tokens are accepted and refused
+exactly as ``Fraction`` would, but ``[sign]digits[/digits]`` is read by
+``int()`` without building one (see ``_rational``).  Each line is stored as
+its primitive integer triple: denominators cleared, gcd 1, first nonzero
+entry positive, so two lines are equal exactly when they are the same
+projective line.  Its combinatorial profile records, for each multiplicity
+r >= 2, the number t_r of points lying on exactly r lines.  ``profile_of``
+groups the later lines through each point of each line by the ratio u : v
+of two coordinates of the integer cross product, which the line's equation
+completes; a point on r lines forms one group of each size 1, ..., r - 1,
+so t_r = n_{r-1} - n_r for n_s groups of size s.  A meeting's key is one
+exact int, i*W + floor(u*N/v), while the coefficients have fewer than
+FLOOR_KEY_BITS bits, and the gcd-normalised (i, u, v) from there on (see
+``profile_of``).  The profile is all that the downstream invariant
+machinery consumes, so named
 arrangements whose natural coordinates are not rational (Hesse, Ceva) enter
 through a catalog of profiles instead of coordinates.
 
@@ -24,6 +27,7 @@ summaries.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -47,6 +51,10 @@ from .record import Record, _repr, _str, set_field
 # carry: Fraction("1e<k>") builds 10**k, so k is held to the default digit
 # limit of int(str).
 MAX_EXPONENT = 4300
+
+# Fraction reads an underscore between digits, as int() does, from Python
+# 3.11 on; before that a token holding one goes to Fraction, which refuses it
+_FRACTION_UNDERSCORES = sys.version_info >= (3, 11)
 
 # Bit length of the largest coefficient from which ``profile_of`` keys each
 # meeting by a gcd-normalised pair instead of one floor(u*N/v) int.  On 80
@@ -98,9 +106,10 @@ def _exponent_exceeds(value) -> bool:
 
 def _primitive(coeffs) -> tuple[int, int, int]:
     """The primitive integer triple of three (numerator, positive denominator) pairs."""
-    (p1, q1), (p2, q2), (p3, q3) = coeffs
-    scale = lcm(q1, q2, q3)
-    a, b, c = p1 * (scale // q1), p2 * (scale // q2), p3 * (scale // q3)
+    (a, q1), (b, q2), (c, q3) = coeffs
+    if not q1 == q2 == q3 == 1:
+        scale = lcm(q1, q2, q3)
+        a, b, c = a * (scale // q1), b * (scale // q2), c * (scale // q3)
     g = gcd(a, b, c)
     if g == 0:
         raise ZeroForm("all three coefficients are zero")
@@ -122,13 +131,16 @@ class Arrangement(Record):
         set_field(self, "lines", lines)
         if len(lines) < 2:
             raise TooFewLines(f"need at least 2 lines, got {len(lines)}")
-        seen: dict[Line, int] = {}
-        for i, line in enumerate(lines):
-            if type(line) is not Line:
-                raise BadParameter(f"line {i + 1} is not a Line: {_repr(line)}")
-            if line in seen:
-                raise DuplicateLine(f"lines {seen[line] + 1} and {i + 1} coincide")
-            seen[line] = i
+        # one C-level pass each for the types and for the distinct triples;
+        # only a refusal walks the lines for its index
+        if not {Line}.issuperset(map(type, lines)):
+            i = next(i for i, line in enumerate(lines) if type(line) is not Line)
+            raise BadParameter(f"line {i + 1} is not a Line: {_repr(lines[i])}")
+        if len(set(map(Line._values, lines))) != len(lines):
+            first: dict[Line, int] = {}
+            for i, line in enumerate(lines):
+                if first.setdefault(line, i) != i:
+                    raise DuplicateLine(f"lines {first[line] + 1} and {i + 1} coincide")
 
     @property
     def d(self) -> int:
@@ -200,15 +212,19 @@ def parse_arrangement(text: str) -> Arrangement:
     ignored.  A decimal exponent beyond MAX_EXPONENT in magnitude is refused.
     Errors name file lines, counted from 1 with comments and blanks.
     """
+    if not isinstance(text, str):
+        raise BadParameter(f"text must be a str, got {type(text).__name__}")
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        tokens = body.split()
+        tokens = raw.partition("#")[0].split()
         if len(tokens) != 3:
+            if not tokens:
+                continue
             raise MalformedLine(f"line {lineno}: expected 3 coefficients, got {len(tokens)}")
-        coeffs = [_rational(tok, lineno) for tok in tokens]
+        # three direct calls: a comprehension's frame took about a tenth of a
+        # line's time (Python 3.11)
+        a, b, c = tokens
+        coeffs = (_rational(a, lineno), _rational(b, lineno), _rational(c, lineno))
         try:
             lines.append(Line(*_primitive(coeffs)))
         except ZeroForm:
@@ -218,7 +234,7 @@ def parse_arrangement(text: str) -> Arrangement:
     except DuplicateLine:
         # name the file lines of the first repeat, not its arrangement indices
         linenos = [lineno for lineno, raw in enumerate(text.splitlines(), start=1)
-                   if raw.split("#", 1)[0].strip()]
+                   if raw.partition("#")[0].split()]
         first: dict[Line, int] = {}
         for line, lineno in zip(lines, linenos):
             if first.setdefault(line, lineno) != lineno:
@@ -227,17 +243,21 @@ def parse_arrangement(text: str) -> Arrangement:
 
 
 def _rational(tok: str, lineno: int) -> tuple[int, int]:
-    """A coefficient token as (numerator, positive denominator), accepted or
-    refused as ``Fraction`` would.  ``[sign]digits[/digits]`` is read with
-    ``int()``, whose digits are those where ``str.isdecimal`` holds; a zero
-    denominator and any other token go to ``Fraction``."""
+    """A coefficient token, free of whitespace as ``str.split`` leaves it, as
+    (numerator, positive denominator), accepted or refused as ``Fraction``
+    would.  ``[sign]digits[/digits]`` is read with ``int()`` first, which
+    takes the digits that ``Fraction`` takes (those where ``str.isdecimal``
+    holds, single underscores between them); a token that ``int()``
+    refuses, a zero or signed denominator, and before Python 3.11 any
+    underscore go to ``Fraction``."""
+    num, slash, den = tok.partition("/")
     try:
-        num, slash, den = tok.partition("/")
-        if ((num[1:] if num[:1] in ("+", "-") else num).isdecimal()
-                and (den.isdecimal() or not slash)):
-            q = int(den) if slash else 1
-            if q:
-                return int(num), q
+        p, q = int(num), int(den) if slash else 1
+    except ValueError:
+        q = 0
+    if q > 0 and "+" not in den and (_FRACTION_UNDERSCORES or "_" not in tok):
+        return p, q
+    try:
         if _exponent_exceeds(tok):
             raise MalformedLine(f"line {lineno}: exponent of {tok!r} exceeds "
                                 f"{MAX_EXPONENT} in magnitude")
@@ -273,7 +293,9 @@ def profile_of(arr: Arrangement) -> Profile:
     and the first nonzero entry positive: u*N, about six times M's length,
     then costs more to divide than the gcd does.
     """
-    groups = Counter(_meeting_keys([(line.a, line.b, line.c) for line in arr.lines]))
+    if type(arr) is not Arrangement:
+        raise BadParameter(f"profile_of needs an Arrangement, got {type(arr).__name__}")
+    groups = Counter(_meeting_keys(list(map(Line._values, arr.lines))))
     n = Counter(groups.values())
     return validate_profile(arr.d, {r: n[r - 1] - n[r] for r in range(2, max(n) + 2)
                                     if n[r - 1] != n[r]})
@@ -320,6 +342,8 @@ def validate_profile(d: int, t: dict) -> Profile:
         return Profile(d, sorted(t.items()))
     except TypeError:  # multiplicities that do not sort, so not all ints
         raise BadParameter(f"multiplicities must be ints, got {_repr(list(t))}") from None
+    except AttributeError:  # no .items(), so not a dict
+        raise BadParameter(f"t must be a dict {{r: t_r}}, got {_repr(t)}") from None
 
 
 def is_pencil(p: Profile) -> bool:
@@ -361,7 +385,7 @@ CATALOG = {
 def catalog_profile(name: str, param: Optional[int] = None) -> CatalogEntry:
     """Look up a named profile in ``CATALOG``: hesse, ceva(m), braid(n),
     pencil(d), near-pencil(d), generic(d)."""
-    row = CATALOG.get(name)
+    row = CATALOG.get(name) if isinstance(name, str) else None
     if row is None:
         raise UnknownCatalogName(name)
     if (param is None) != (row.flag is None) or (row.flag and type(param) is not int):

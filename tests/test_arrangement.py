@@ -153,6 +153,15 @@ class TestLine:
         with pytest.raises(BadParameter, match="lines must be an iterable of Line"):
             Arrangement(None)
 
+    def test_arrangement_names_indices_past_the_first(self):
+        # the type and duplicate checks run over all lines at once; a refusal
+        # still names the index of the first offender
+        x, y, z, w = Line(1, 0, 0), Line(0, 1, 0), Line(0, 0, 1), Line(1, 1, 1)
+        with pytest.raises(BadParameter, match=r"^line 3 is not a Line: \(0, 0, 1\)$"):
+            Arrangement((x, y, (0, 0, 1), w))
+        with pytest.raises(DuplicateLine, match="^lines 2 and 4 coincide$"):
+            Arrangement((x, y, z, Line(0, 1, 0), w))
+
     def test_arrangement_stores_a_tuple(self):
         arr = Arrangement([Line(1, 0, 0), Line(0, 1, 0)])
         assert arr.lines == (Line(1, 0, 0), Line(0, 1, 0))
@@ -200,6 +209,12 @@ class TestParse:
         with pytest.raises(TooFewLines):
             parse_arrangement("1 0 0\n")
 
+    @pytest.mark.parametrize("text", [None, b"1 0 0\n0 1 0\n", ["1 0 0", "0 1 0"]],
+                             ids=["none", "bytes", "list"])
+    def test_refuses_non_str(self, text):
+        with pytest.raises(BadParameter, match="text must be a str"):
+            parse_arrangement(text)
+
     @given(st.one_of(st.text(), st.text(alphabet="0123456789+-./eE# \t\n")))
     def test_arbitrary_text(self, text):
         # any text parses to an arrangement or fails with a library error,
@@ -223,6 +238,17 @@ class TestParse:
     @example("9" * 4301)
     @example("-" + "9" * 4301)
     @example("1/" + "9" * 4301)
+    @example("5/")
+    @example("/5")
+    @example("-0/7")
+    @example("1/+2")
+    @example("1/0_0")
+    @example("1__0")
+    @example("1_")
+    @example("_1")
+    @example("0x10")
+    @example("+-1")
+    @example("\u0663/\u0664")
     def test_token_reader_matches_fraction(self, tok):
         # the same value, or the same error and message, as Fraction
         text = f"{tok} 1 0\n0 0 1\n"
@@ -257,6 +283,12 @@ class TestProfile:
         arr = parse_arrangement("1 0 0\n0 1 0\n1 1 0\n0 0 1\n")
         p = profile_of(arr)
         assert p.t == ((2, 3), (3, 1))
+
+    @pytest.mark.parametrize("arr", [None, TRIANGLE, (Line(1, 0, 0), Line(0, 1, 0))],
+                             ids=["none", "text", "tuple"])
+    def test_refuses_non_arrangement(self, arr):
+        with pytest.raises(BadParameter, match="profile_of needs an Arrangement"):
+            profile_of(arr)
 
     def test_generic_quadrilateral(self):
         arr = parse_arrangement("1 0 0\n0 1 0\n0 0 1\n1 1 1\n")
@@ -448,6 +480,11 @@ class TestValidateProfile:
         with pytest.raises(BadParameter, match="int"):
             call(*args)
 
+    @pytest.mark.parametrize("t", [[(2, 6)], None, ((2, 6),)], ids=["list", "none", "tuple"])
+    def test_refuses_non_dict(self, t):
+        with pytest.raises(BadParameter, match=r"t must be a dict \{r: t_r\}"):
+            validate_profile(4, t)
+
     def test_sorted_storage(self):
         p = validate_profile(6, {3: 4, 2: 3})
         assert p.t == ((2, 3), (3, 4))
@@ -485,6 +522,9 @@ class TestCatalog:
     def test_parameter_validation(self):
         with pytest.raises(UnknownCatalogName):
             catalog_profile("fermat")
+        for name in (["hesse"], None, 3):  # unhashable, or no str
+            with pytest.raises(UnknownCatalogName):
+                catalog_profile(name)
         with pytest.raises(BadParameter):
             catalog_profile("ceva")
         with pytest.raises(BadParameter):

@@ -85,5 +85,12 @@ def test_profile_of_timing():
         assert timing["lines"] == d
         assert (timing["max_bits"] < FLOOR_KEY_BITS) == below
         assert 0 < timing["min_s"] <= timing["median_s"]
+        assert timing["parse_median_s"] > 0
         # the profile is balanced: every pair of lines meets in one point
         assert sum(comb(int(r), 2) * count for r, count in timing["t"].items()) == comb(d, 2)
+    # the 40 small texts of an arrangement-files period: 6, 7, ..., 30 lines,
+    # then 6, ..., 20 again
+    small = report["small"]
+    assert small["texts"] == 40
+    assert small["lines"] == sum(range(6, 31)) + sum(range(6, 21))
+    assert 0 < small["parse_min_s"] <= small["parse_median_s"]
