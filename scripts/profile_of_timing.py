@@ -3,10 +3,13 @@
 
 The inputs are built once; then parse_arrangement runs --passes times on
 each, and profile_of --passes times on each parsed arrangement, and only
-those calls are timed.  The three files are
+those calls are timed.  The four files are
   * large: the benchmark's 200-line arrangement of coefficients in [-6, 6]
     with many multiple points, drawn and rendered as the first large file of
     the arrangement-files workload with seed 0;
+  * decimal: the large file's lines with each coefficient v written as the
+    decimal v/4, as "1.50" and "25e-2" in turn, so that every token goes to
+    Fraction;
   * random: --random-lines distinct lines with integer coefficients in
     [-100, 100], almost all of whose points are nodes, from the generator of
     the benchmark's profile_of_400_random_lines_s reference point;
@@ -56,6 +59,12 @@ def hostile_text(n: int) -> str:
     return "".join(f"{token()} {token()} {token()}\n" for _ in range(n))
 
 
+def decimal_text(text: str) -> str:
+    values = [v for line in parse_arrangement(text).lines for v in (line.a, line.b, line.c)]
+    tokens = [f"{25 * v}e-2" if k % 2 else f"{v / 4:.2f}" for k, v in enumerate(values)]
+    return "".join(f"{a} {b} {c}\n" for a, b, c in zip(*[iter(tokens)] * 3))
+
+
 def period_texts() -> tuple[str, list[str]]:
     """The large text and the small ones of the workload's first period at SEED."""
     rng = random.Random(SEED)
@@ -100,7 +109,8 @@ def main() -> int:
         parser.error("--passes must be >= 1 and each line count >= 2")
 
     large, small = period_texts()
-    texts = {"large": large, "random": random_lines_text(args.random_lines, SEED),
+    texts = {"large": large, "decimal": decimal_text(large),
+             "random": random_lines_text(args.random_lines, SEED),
              "hostile": hostile_text(args.hostile_lines)}
     report = {"passes": args.passes, "floor_key_bits": FLOOR_KEY_BITS}
     report.update((name, timing(text, args.passes)) for name, text in texts.items())

@@ -27,7 +27,6 @@ summaries.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -51,10 +50,6 @@ from .record import Record, _repr, _str, set_field
 # carry: Fraction("1e<k>") builds 10**k, so k is held to the default digit
 # limit of int(str).
 MAX_EXPONENT = 4300
-
-# Fraction reads an underscore between digits, as int() does, from Python
-# 3.11 on; before that a token holding one goes to Fraction, which refuses it
-_FRACTION_UNDERSCORES = sys.version_info >= (3, 11)
 
 # Bit length of the largest coefficient from which ``profile_of`` keys each
 # meeting by a gcd-normalised pair instead of one floor(u*N/v) int.  On 80
@@ -247,15 +242,17 @@ def _rational(tok: str, lineno: int) -> tuple[int, int]:
     (numerator, positive denominator), accepted or refused as ``Fraction``
     would.  ``[sign]digits[/digits]`` is read with ``int()`` first, which
     takes the digits that ``Fraction`` takes (those where ``str.isdecimal``
-    holds, single underscores between them); a token that ``int()``
-    refuses, a zero or signed denominator, and before Python 3.11 any
-    underscore go to ``Fraction``."""
+    holds).  A decimal, with '.', 'e' or 'E' before any slash, goes straight
+    to ``Fraction``, sparing it a raise from ``int()``; so do a token that
+    ``int()`` refuses, a zero or signed denominator and any underscore."""
     num, slash, den = tok.partition("/")
-    try:
-        p, q = int(num), int(den) if slash else 1
-    except ValueError:
-        q = 0
-    if q > 0 and "+" not in den and (_FRACTION_UNDERSCORES or "_" not in tok):
+    q = 0
+    if "." not in num and "e" not in num and "E" not in num:
+        try:
+            p, q = int(num), int(den) if slash else 1
+        except ValueError:
+            pass
+    if q > 0 and "+" not in den and "_" not in tok:
         return p, q
     try:
         if _exponent_exceeds(tok):

@@ -249,6 +249,13 @@ class TestParse:
     @example("0x10")
     @example("+-1")
     @example("\u0663/\u0664")
+    @example("-1.25")
+    @example("3E-2")
+    @example(".5")
+    @example("1.5/2")
+    @example("2/1.5")
+    @example("1e5/2")
+    @example("1_0.5")
     def test_token_reader_matches_fraction(self, tok):
         # the same value, or the same error and message, as Fraction
         text = f"{tok} 1 0\n0 0 1\n"

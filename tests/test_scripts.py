@@ -78,9 +78,10 @@ def test_profile_of_timing():
     report = json.loads(done.stdout)
     assert report["passes"] == 2
     assert report["floor_key_bits"] == FLOOR_KEY_BITS
-    # the benchmark's 200-line file and the random one below the cutover,
-    # the hostile one far past it
-    for name, d, below in (("large", 200, True), ("random", 6, True), ("hostile", 4, False)):
+    # the benchmark's 200-line file, its decimal copy and the random one below
+    # the cutover, the hostile one far past it
+    for name, d, below in (("large", 200, True), ("decimal", 200, True), ("random", 6, True),
+                           ("hostile", 4, False)):
         timing = report[name]
         assert timing["lines"] == d
         assert (timing["max_bits"] < FLOOR_KEY_BITS) == below
@@ -88,6 +89,7 @@ def test_profile_of_timing():
         assert timing["parse_median_s"] > 0
         # the profile is balanced: every pair of lines meets in one point
         assert sum(comb(int(r), 2) * count for r, count in timing["t"].items()) == comb(d, 2)
+    assert report["decimal"]["t"] == report["large"]["t"]
     # the 40 small texts of an arrangement-files period: 6, 7, ..., 30 lines,
     # then 6, ..., 20 again
     small = report["small"]
