@@ -346,6 +346,8 @@ def validate_profile(d: int, t: dict) -> Profile:
 def is_pencil(p: Profile) -> bool:
     """True iff all lines pass through one point, i.e. t_d = 1: the balance
     allows at most one d-fold point, so t's last multiplicity decides."""
+    if type(p) is not Profile:
+        raise BadParameter(f"is_pencil needs a Profile, got {type(p).__name__}")
     return p.t[-1][0] == p.d
 
 

@@ -17,7 +17,8 @@ Vertex order is fixed everywhere: central first (when present), then arm 1
 root to tip, arm 2, and so on; only DOT names the nodes: ``c`` and
 ``a<arm>_<pos>``.  A matrix has one form everywhere: a list of sparse
 integer rows {column: nonzero entry}.  ``intersection_matrix`` builds these
-rows from the weights and edges in O(vertices + edges).  ``eliminate``
+rows from the weights and edges in O(vertices + edges); it and ``to_dot``
+refuse any argument but a ``ResolutionGraph`` with BadParameter.  ``eliminate``
 checks and copies such rows for the package's one exact elimination, its
 core ``_pivots``, which updates them in place: the definiteness test reads
 its pivot signs, and the oracle in :mod:`linesurf.verify` hands it the rows
@@ -176,6 +177,9 @@ def graph_size(r: int, d: int) -> int:
 def intersection_matrix(graph: ResolutionGraph) -> list[dict[int, int]]:
     """Symmetric sparse rows {column: entry}: diagonal -weight, 1 on adjacent
     vertex pairs, no stored zeros."""
+    if type(graph) is not ResolutionGraph:
+        raise BadParameter("intersection_matrix needs a ResolutionGraph, "
+                           f"got {type(graph).__name__}")
     return _rows(graph.weights(), graph.edge_list())
 
 
@@ -243,8 +247,10 @@ def _pivots(rows: list[dict[int, int]], b: list[int]) -> tuple[list[dict[int, in
     positive multiplier m_i, so a pivot whose one lower entry is at column i,
     read from the pivot row with no list built, changes only m_i, a_ii and
     rhs_i, in O(1), and divides the three by their gcd.  m_i is folded into
-    row i when it becomes the pivot, and before a pivot with several lower
-    entries updates it; a row is rebuilt only when an entry cancels.  Returns
+    row i when it becomes the pivot (a leaf pivot's into its one entry) and
+    before a pivot with several lower entries updates it; a row is rebuilt
+    only when an entry cancels.  A leaf pivot runs as straight-line code,
+    the other steps as plain loops over a row's few entries.  Returns
     the sparse rows, now lower triangular, and the rhs; rows[k][k] has the
     sign of the k-th pivot.  Intersection matrices lose arm tips first and
     get no fill-in.  A matrix that is not symmetric raises NotSymmetric, and
@@ -262,12 +268,11 @@ def _pivots(rows: list[dict[int, int]], b: list[int]) -> tuple[list[dict[int, in
         p = pivot_row.pop(k, 0)
         if p == 0:
             raise SingularMatrix(f"zero pivot at index {k}")
-        if mult[k] != 1:  # fold the multiplier into the new pivot row
-            for j in pivot_row:
-                pivot_row[j] *= mult[k]
-        scale, bk = abs(p), b[k]
+        scale, bk, m = abs(p), b[k], mult[k]
         if len(pivot_row) == 1:  # a leaf pivot: only row i's multiplier, diagonal and rhs change
             (i, v), = pivot_row.items()
+            if m != 1:  # fold the multiplier into the one entry
+                v = pivot_row[i] = m * v
             pivot_row[k] = p
             row = rows[i]
             factor = mult[i] * (row.pop(k) if p > 0 else -row.pop(k))
@@ -277,6 +282,9 @@ def _pivots(rows: list[dict[int, int]], b: list[int]) -> tuple[list[dict[int, in
             g = gcd(mi, di, bi) or 1  # 0 when a lone diagonal and its rhs cancelled
             row[i], b[i], mult[i] = di // g, bi // g, mi // g or 1
             continue
+        if m != 1:  # fold the multiplier into the new pivot row
+            for j in pivot_row:
+                pivot_row[j] *= m
         lower = list(pivot_row.items())  # the columns above k are gone already
         pivot_row[k] = p
         for i, _ in lower:
@@ -318,6 +326,8 @@ def check_negative_definite(m) -> bool:
 
 def to_dot(graph: ResolutionGraph) -> str:
     """Deterministic DOT rendering of the dual graph."""
+    if type(graph) is not ResolutionGraph:
+        raise BadParameter(f"to_dot needs a ResolutionGraph, got {type(graph).__name__}")
     out = [f'graph "resolution_r{_str(graph.r)}_d{_str(graph.d)}" {{']
     names = []
     for name, genus, weight in graph.iter_vertices():

@@ -4,14 +4,18 @@ Nothing here reuses the closed forms.  The coefficient vector comes from
 solving M a = k exactly, through the elimination the definiteness test also
 uses, where k_v = 2 g(v) - 2 + w(v) is the adjunction right-hand side; DCI
 is then the quadratic form a^T M a and DCII is the Euler characteristic of
-the exceptional configuration minus one.  The sweep reads each graph's
-weights and edges once and checks them once (int weights and central genus,
-a bool refused, and arms of one length, or BadParameter).  It eliminates the
-sparse rows of ``intersection_matrix`` that it builds from them with no
-second type pass or copy, through ``resolution._pivots`` and one forward
-substitution, the two that ``solve_exact`` runs after ``eliminate``'s checks
-and copy, and compares the results against the closed forms in
-:mod:`linesurf.local`, one ``OracleReport`` NamedTuple per pair.  The graphs
+the exceptional configuration minus one.  Each public function that takes a
+graph refuses any argument but a ``ResolutionGraph`` with BadParameter.  The
+sweep reads each graph's weights and edges once and checks them once (int
+weights and central genus, a bool refused, and arms of one length, or
+BadParameter).  It eliminates the sparse rows of ``intersection_matrix``
+that it builds from them with no second type pass or copy, through
+``resolution._pivots`` and the forward substitution ``_forward``, the two
+that ``solve_exact`` runs after ``eliminate``'s checks and copy; an
+eliminated star row holds one or two entries, so both walk each row in a
+plain loop.  It compares the results against the closed forms in
+:mod:`linesurf.local`, one ``OracleReport`` NamedTuple per pair, built
+positionally through ``tuple.__new__``.  The graphs
 take their arms from ``hj_expand``, one term per step, and the closed forms
 read ``hj_summary``'s run walk, which takes each run of 2s in one step, so
 the sweep also checks these two independent walks against each other.
@@ -67,11 +71,17 @@ def solve_exact(matrix, rhs) -> list[int | Fraction]:
 
 def _forward(rows: list[dict[int, int]], b: list[int]) -> list[int | Fraction]:
     """Forward substitution through the lower-triangular rows and rhs that
-    ``resolution._pivots`` returns, popping each diagonal."""
+    ``resolution._pivots`` returns, popping each diagonal.  Component i is
+    (b_i - sum_j a_ij x_j) / a_ii, an ``int`` when a_ii divides it and a
+    ``Fraction`` otherwise, also when a ``Fraction`` x_j fed it.  An
+    eliminated star row holds one or two entries besides its diagonal, so
+    each is subtracted in a plain loop, with no iterator set up per row."""
     x: list = []
     for i, row in enumerate(rows):
         p = row.pop(i)
-        num = b[i] - sum(map(mul, row.values(), map(x.__getitem__, row)))
+        num = b[i]
+        for j in row:
+            num -= row[j] * x[j]
         x.append(num // p if num % p == 0 else Fraction(num, p))
     return x
 
@@ -79,6 +89,8 @@ def _forward(rows: list[dict[int, int]], b: list[int]) -> list[int | Fraction]:
 def adjunction_rhs(graph: ResolutionGraph) -> list[int]:
     """k_v = E_v . K = 2 g(v) - 2 + w(v) for every vertex; a malformed graph
     raises BadParameter, from the check in ``_rhs``."""
+    if type(graph) is not ResolutionGraph:
+        raise BadParameter(f"adjunction_rhs needs a ResolutionGraph, got {type(graph).__name__}")
     return _rhs(graph, graph.weights())
 
 
@@ -100,6 +112,9 @@ def _rhs(graph: ResolutionGraph, weights: tuple[int, ...]) -> list[int]:
 
 def coefficients_from_matrix(graph: ResolutionGraph) -> tuple[int, ...]:
     """Solve M a = k on the graph's rows; return the (checked integral) coefficients."""
+    if type(graph) is not ResolutionGraph:
+        raise BadParameter("coefficients_from_matrix needs a ResolutionGraph, "
+                           f"got {type(graph).__name__}")
     return _solve(graph, graph.weights(), graph.edge_list())
 
 
@@ -118,6 +133,9 @@ def _solve(graph: ResolutionGraph, weights, edges) -> tuple[int, ...]:
 
 def local_invariants_from_graph(graph: ResolutionGraph) -> tuple[int, int]:
     """(oracle DCI, oracle DCII) from the matrix and configuration alone."""
+    if type(graph) is not ResolutionGraph:
+        raise BadParameter("local_invariants_from_graph needs a ResolutionGraph, "
+                           f"got {type(graph).__name__}")
     return _oracle(graph)[1:]
 
 
@@ -125,7 +143,10 @@ def _oracle(graph: ResolutionGraph) -> tuple[tuple[int, ...], int, int]:
     """The solved coefficients a, DCI = a^T M a and DCII, reading the graph once."""
     weights, edges = graph.weights(), graph.edge_list()
     a = _solve(graph, weights, edges)
-    dci = 2 * sum(a[i] * a[j] for i, j in edges) - sum(map(mul, map(mul, a, a), weights))
+    cross = 0  # the edge sum of a^T M a, whose off-diagonal entries are 1
+    for i, j in edges:
+        cross += a[i] * a[j]
+    dci = 2 * cross - sum(map(mul, map(mul, a, a), weights))
     genus = graph.central[0] if graph.central is not None else 0
     chi_curves = 2 * len(weights) - 2 * genus
     if graph.shape == BLOWN_DOWN_STAR:
@@ -158,12 +179,8 @@ def sweep_verify(r_max: int, d_max: int) -> list[OracleReport]:
         for d in range(r, d_max + 1):
             solved, oracle_dci, oracle_dcii = _oracle(build_resolution_graph(r, d))
             closed = local_invariants(r, d)
-            reports.append(OracleReport(
-                r, d,
-                coefficients_match=solved == expected_vertex_coefficients(r, d),
-                dci_match=oracle_dci == closed.dci,
-                dcii_match=oracle_dcii == closed.dcii,
-                oracle_dci=oracle_dci,
-                oracle_dcii=oracle_dcii,
-            ))
+            # positionally, in one C call, as ``local_invariants`` builds its row
+            reports.append(tuple.__new__(OracleReport, (
+                r, d, solved == expected_vertex_coefficients(r, d),
+                oracle_dci == closed.dci, oracle_dcii == closed.dcii, oracle_dci, oracle_dcii)))
     return reports

@@ -96,3 +96,20 @@ def test_profile_of_timing():
     assert small["texts"] == 40
     assert small["lines"] == sum(range(6, 31)) + sum(range(6, 21))
     assert 0 < small["parse_min_s"] <= small["parse_median_s"]
+
+
+def test_oracle_timing():
+    done = run_process("oracle_timing.py", "--passes", "1")
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    report = json.loads(done.stdout)
+    assert report["passes"] == 1
+    # the oracle-sweep operation and the reference rectangle: one system per pair
+    for key, r_max, d_max in (("sweep_verify(8, 24)", 8, 24), ("sweep_verify(10, 60)", 10, 60)):
+        timing = report[key]
+        assert timing["pairs"] == sum(d_max - r + 1 for r in range(2, r_max + 1))
+        for step in ("sweep", "pivots", "forward"):
+            assert 0 < timing[step]["min_s"] <= timing[step]["median_s"]
+    # every graph with 2 <= r <= d <= 40
+    definite = report["check_negative_definite"]
+    assert (definite["d_max"], definite["graphs"]) == (40, comb(40, 2))
+    assert 0 < definite["min_s"] <= definite["median_s"]

@@ -320,6 +320,50 @@ class TestLeafPivots:
         assert_matches_reference(matrix, rhs)
 
 
+class TestForward:
+    """``_forward`` on hand-made lower-triangular rows, as ``_pivots`` returns
+    them: x_i = (b_i - sum_j a_ij x_j) / a_ii, an int when integral."""
+
+    @staticmethod
+    def reference(rows, b):
+        x = []
+        for i, row in enumerate(rows):
+            num = Fraction(b[i]) - sum(Fraction(v) * x[j] for j, v in row.items() if j != i)
+            x.append(num / row[i])
+        return x
+
+    def solved(self, rows, b):
+        expected = self.reference(rows, b)
+        x = verify._forward(rows, b)
+        assert x == expected
+        assert [type(v) for v in x] == [int if v.denominator == 1 else Fraction for v in expected]
+        # each diagonal is popped; the rest of the row is left as it was
+        assert all(i not in row for i, row in enumerate(rows))
+        return x
+
+    def test_empty_system(self):
+        assert self.solved([], []) == []
+
+    def test_row_whose_entries_cancel(self):
+        # 3 x_0 - 3 x_1 = 0 in row 2, so x_2 is b_2 over its pivot alone
+        x = self.solved([{0: 2}, {0: 1, 1: 1}, {0: 3, 1: -3, 2: 5}], [4, 4, 10])
+        assert x == [2, 2, 2]
+
+    def test_fraction_feeds_an_integral_component(self):
+        # x_0 = 1/2, and 4 - 2 * (1/2) = 3 is integral, so x_1 = 3/3 is an int
+        x = self.solved([{0: 2}, {0: 2, 1: 3}, {1: 1, 2: 2}], [1, 4, 1])
+        assert x == [Fraction(1, 2), 1, 0]
+        assert [type(v) for v in x] == [Fraction, int, int]
+
+    def test_negative_pivots(self):
+        # x_0 = 6 / -3 = -2, x_1 = (1 + 2) / -4 = -3/4, x_2 = (2 - 8 + 3) / -1 = 3
+        # and x_3 = (0 - 6) / -7 = 6/7: floor division and Fraction both see the sign
+        x = self.solved([{0: -3}, {0: 1, 1: -4}, {0: -4, 1: 4, 2: -1}, {2: 2, 3: -7}],
+                        [6, 1, 2, 0])
+        assert x == [-2, Fraction(-3, 4), 3, Fraction(6, 7)]
+        assert [type(v) for v in x] == [int, Fraction, int, Fraction]
+
+
 class TestGraphRows:
     def test_rows_are_weights_and_edges(self):
         # each row stores -weight on its diagonal and 1 at exactly the graph's
@@ -475,6 +519,8 @@ class TestSweep:
 
     def test_report_fields(self):
         rep = sweep_verify(3, 5)[-1]
+        # built positionally through tuple.__new__: the NamedTuple itself
+        assert type(rep) is OracleReport and rep == OracleReport(*rep) and rep.ok
         assert (rep.r, rep.d) == (3, 5)
         assert (rep.oracle_dci, rep.oracle_dcii) == (-3, 7)
 
