@@ -5,15 +5,15 @@ For each of two rectangles, sweep_verify(8, 24), the oracle-sweep benchmark's
 operation, and sweep_verify(10, 60), the ROADMAP's reference point, the
 script times --passes whole sweeps, then the two steps of the sweep's solve
 on the sweep's own systems: resolution._pivots on the rows and adjunction
-right-hand sides that resolution._rows and verify._rhs build for every
-pair, and verify._forward on what _pivots returns.  _pivots works in place,
-so each pass eliminates fresh copies made before its clock starts.  Last
-it times check_negative_definite over the intersection matrices of every
-graph with d <= 40, the definite-sweep benchmark's operations, which
-includes eliminate's checks and copy.  The JSON gives each item's median
-and fastest pass in seconds, with its pair or graph count; the medians of
-two source trees compare when they run on one machine, one tree after the
-other.
+right-hand sides that the public intersection_matrix and
+verify.adjunction_rhs build for every pair, and verify._forward on what
+_pivots returns.  _pivots works in place, so each pass eliminates fresh
+copies made before its clock starts.  Last it times check_negative_definite
+over the intersection matrices of every graph with d <= 40, the
+definite-sweep benchmark's operations, which includes eliminate's checks and
+copy.  The JSON gives each item's median and fastest pass in seconds, with
+its pair or graph count; the medians of two source trees compare when they
+run on one machine, one tree after the other.
 
 Example:
     python3 scripts/oracle_timing.py --passes 5
@@ -26,8 +26,8 @@ import time
 
 from linesurf import (build_resolution_graph, check_negative_definite, intersection_matrix,
                       sweep_verify)
-from linesurf.resolution import _pivots, _rows
-from linesurf.verify import _forward, _rhs
+from linesurf.resolution import _pivots
+from linesurf.verify import _forward, adjunction_rhs
 
 SWEEPS = ((8, 24), (10, 60))
 DEFINITE_D = 40
@@ -42,8 +42,7 @@ def sweep_timing(r_max: int, d_max: int, passes: int) -> dict:
     for r in range(2, r_max + 1):
         for d in range(r, d_max + 1):
             graph = build_resolution_graph(r, d)
-            weights = graph.weights()
-            systems.append((_rows(weights, graph.edge_list()), _rhs(graph, weights)))
+            systems.append((intersection_matrix(graph), adjunction_rhs(graph)))
     sweep, pivots, forward = [], [], []
     for _ in range(passes):
         start = time.perf_counter()

@@ -1,10 +1,12 @@
 """The immutable-record base of ``Line``, ``Arrangement``, ``Profile``,
-``GlobalInvariants`` and ``Verdict``.
+``ResolutionGraph``, ``GlobalInvariants`` and ``Verdict``.
 
 A subclass names its fields in ``_fields`` and sets each once, in that order,
 in its own ``__init__`` through ``object.__setattr__``, then checks itself.
 Equality (same class only), hash and repr follow the field order, and so does
-``vars()``.  Assigning or deleting an attribute raises ``AttributeError``.
+``vars()``; attributes derived from the fields, such as a ``ResolutionGraph``'s
+weights and edges, are set after them and follow them in ``vars()``.
+Assigning or deleting an attribute raises ``AttributeError``.
 Plain classes cost little at import, unlike ``dataclasses``, which loads
 ``inspect`` and generates each record's methods when the record is defined.
 """

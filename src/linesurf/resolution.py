@@ -9,9 +9,9 @@ the root weight dropped by one.  A node, r = 2, is the A_{d-1} singularity and
 takes the same two shapes by the parity of d: for d even a genus-0 centre of
 weight 2 with two arms of 2s, for d odd two arms of 2s whose roots meet.
 
-``ResolutionGraph`` is a NamedTuple, built on every graph call.  Every
-internal caller reads ``_weights``, the checked plain tuple behind the public
-``WeightData`` NamedTuple.
+``ResolutionGraph`` is a record that checks itself once, when it is built,
+so every caller trusts it.  Every internal caller reads ``_weights``, the
+checked plain tuple behind the public ``WeightData`` NamedTuple.
 
 Vertex order is fixed everywhere: central first (when present), then arm 1
 root to tip, arm 2, and so on; only DOT names the nodes: ``c`` and
@@ -22,10 +22,10 @@ refuse any argument but a ``ResolutionGraph`` with BadParameter.  ``eliminate``
 checks and copies such rows for the package's one exact elimination, its
 core ``_pivots``, which updates them in place: the definiteness test reads
 its pivot signs, and the oracle in :mod:`linesurf.verify` hands it the rows
-that ``_rows`` has just built, with no second check or copy.  Each row
-carries a positive multiplier for its off-diagonal entries, so a pivot with
-one lower neighbour, such as an arm vertex, updates that neighbour in O(1),
-and a star's centre costs O(r), not O(r^2).
+that ``intersection_matrix`` has just built, with no second check or copy.
+Each row carries a positive multiplier for its off-diagonal entries, so a
+pivot with one lower neighbour, such as an arm vertex, updates that
+neighbour in O(1), and a star's centre costs O(r), not O(r^2).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional
 
 from .errors import BadMultiplicity, BadParameter, InternalCheckError, NotSymmetric, SingularMatrix
 from .hjcf import _neg_inverse, _run_walk, hj_expand
-from .record import _repr, _str
+from .record import Record, _repr, _str, set_field
 
 STAR = "star"
 BLOWN_DOWN_STAR = "blown_down_star"
@@ -56,19 +56,57 @@ class WeightData(NamedTuple):
     genus0: int     # genus of the central curve
 
 
-class ResolutionGraph(NamedTuple):
+class ResolutionGraph(Record):
     """Dual graph of the minimal resolution, a star or a blown-down star.
 
-    central is (genus, weight) for the star shape, None otherwise.
-    arms holds the weight chains root to tip.  A star with lambda = 0, which
-    is r = d, is its central curve alone and stores no arms.
+    central is (genus, weight) for the star shape, None otherwise.  arms
+    holds r weight chains of one length, root to tip; a star with lambda = 0,
+    which is r = d, is its central curve alone and stores no arms.  The
+    graph checks this structure and every type once, when it is built, and
+    raises BadParameter; it does not check minimality.  It then stores its
+    vertex weights, arm roots and edges.
     """
 
-    r: int
-    d: int
-    shape: str
-    central: Optional[tuple[int, int]]
-    arms: tuple[tuple[int, ...], ...]
+    _fields = ("r", "d", "shape", "central", "arms")
+    _derived = ("_vertex_weights", "_arm_roots", "_edges")
+
+    def __init__(self, r: int, d: int, shape: str, central: Optional[tuple[int, int]],
+                 arms: tuple[tuple[int, ...], ...]):
+        if not type(r) is type(d) is int:
+            raise BadParameter(f"r and d must be ints, got {_repr(r)} and {_repr(d)}")
+        if shape == STAR:
+            if not (type(central) is tuple and len(central) == 2 and type(central[0]) is int):
+                raise BadParameter("a star's central must be an int pair (genus, weight), "
+                                   f"got {_repr(central)}")
+            head = central[1:]
+        elif shape == BLOWN_DOWN_STAR:
+            if central is not None:
+                raise BadParameter(f"a blown-down star has no central, got {_repr(central)}")
+            head = ()
+        else:
+            raise BadParameter(f"shape must be {STAR!r} or {BLOWN_DOWN_STAR!r}, got {_repr(shape)}")
+        if type(arms) is not tuple or not {tuple}.issuperset(map(type, arms)):
+            raise BadParameter(f"arms must be a tuple of weight tuples, got {_repr(arms)}")
+        if (arms or central is None) and (len(arms) != r or len(set(map(len, arms))) != 1
+                                          or central is None and not arms[0]):
+            raise BadParameter(f"need r={_repr(r)} arms of one length, none or empty only on "
+                               f"a star, got lengths {_repr(tuple(map(len, arms)))}")
+        weights = head + tuple(chain.from_iterable(arms))
+        if not {int}.issuperset(map(type, weights)):
+            bad = next(w for w in weights if type(w) is not int)
+            raise BadParameter(f"weights must be ints, got {_repr(bad)}")
+        lam, end = len(arms[0]) if arms else 0, len(weights)
+        roots = tuple(range(len(head), end, lam or 1))
+        # the arms, then a clique, are cut from one list of steps (k, k + 1)
+        edges = list(zip(range(end - 1), range(1, end)))
+        if central is None:
+            del edges[lam - 1::lam]  # the steps from one arm's tip to the next root
+            edges.extend(combinations(roots, 2))
+        elif lam:
+            edges[lam::lam] = zip(repeat(0), roots[1:])  # a step into a later root: its spoke
+        values = (r, d, shape, central, arms, weights, roots, tuple(edges))
+        for name, value in zip(self._fields + self._derived, values):
+            set_field(self, name, value)
 
     @property
     def lam(self) -> int:
@@ -77,13 +115,11 @@ class ResolutionGraph(NamedTuple):
 
     @property
     def vertex_count(self) -> int:
-        return (1 if self.central is not None else 0) + sum(len(a) for a in self.arms)
+        return len(self._vertex_weights)
 
     def weights(self) -> tuple[int, ...]:
-        """Vertex weights in the documented order; only the central curve,
-        when present, has nonzero genus."""
-        central = () if self.central is None else (self.central[1],)
-        return central + tuple(chain.from_iterable(self.arms))
+        """Vertex weights in the documented order; only the centre has a genus."""
+        return self._vertex_weights
 
     def iter_vertices(self):
         """Yield (name, genus, weight) in the documented order, for DOT."""
@@ -94,24 +130,11 @@ class ResolutionGraph(NamedTuple):
                 yield (f"a{ai}_{k}", 0, w)
 
     def arm_root_indices(self) -> tuple[int, ...]:
-        lam, offset = self.lam, 1 if self.central is not None else 0
-        return tuple(range(offset, offset + lam * len(self.arms), lam or 1))  # lam = 0: no arms
+        return self._arm_roots
 
     def edge_list(self) -> tuple[tuple[int, int], ...]:
-        """Undirected edges as index pairs: each arm from the centre to its tip,
-        then a clique; the arms are cut from one list of steps (k, k + 1)."""
-        lam = self.lam
-        if lam == 0:
-            return ()
-        roots = self.arm_root_indices()
-        end = roots[-1] + lam
-        edges = list(zip(range(end - 1), range(1, end)))
-        if self.central is None:
-            del edges[lam - 1::lam]  # the steps from one arm's tip to the next root
-            edges.extend(combinations(roots, 2))
-        else:
-            edges[lam::lam] = zip(repeat(0), roots[1:])  # a step into a later root: its spoke
-        return tuple(edges)
+        """Undirected edges as index pairs: each arm, then a clique of roots."""
+        return self._edges
 
 
 def weight_data(r: int, d: int) -> WeightData:
@@ -176,17 +199,12 @@ def graph_size(r: int, d: int) -> int:
 
 def intersection_matrix(graph: ResolutionGraph) -> list[dict[int, int]]:
     """Symmetric sparse rows {column: entry}: diagonal -weight, 1 on adjacent
-    vertex pairs, no stored zeros."""
+    vertex pairs, no stored zeros off the diagonal."""
     if type(graph) is not ResolutionGraph:
         raise BadParameter("intersection_matrix needs a ResolutionGraph, "
                            f"got {type(graph).__name__}")
-    return _rows(graph.weights(), graph.edge_list())
-
-
-def _rows(weights: tuple[int, ...], edges: tuple[tuple[int, int], ...]) -> list[dict[int, int]]:
-    """``intersection_matrix`` from a graph's weights and edges, read once by the oracle."""
-    rows = [{i: -weight} for i, weight in enumerate(weights)]
-    for i, j in edges:
+    rows = [{i: -weight} for i, weight in enumerate(graph.weights())]
+    for i, j in graph.edge_list():
         rows[i][j] = rows[j][i] = 1
     return rows
 
@@ -240,7 +258,7 @@ def eliminate(matrix, rhs) -> tuple[list[dict[int, int]], list[int]]:
 def _pivots(rows: list[dict[int, int]], b: list[int]) -> tuple[list[dict[int, int]], list[int]]:
     """``eliminate``'s core, in place on square sparse int rows, with no
     stored zero off the diagonal, and an int rhs of their length: the oracle
-    hands it the rows that ``_rows`` has just built.  Pivot p = a_kk turns
+    hands it the rows ``intersection_matrix`` just built.  Pivot p = a_kk turns
     each row i < k into |p| row_i - sign(p) a_ik row_k and divides it and
     rhs_i by a common factor, so every row stays a positive multiple of its
     rational counterpart.  Row i stores its off-diagonal entries divided by a

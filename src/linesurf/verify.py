@@ -5,15 +5,15 @@ solving M a = k exactly, through the elimination the definiteness test also
 uses, where k_v = 2 g(v) - 2 + w(v) is the adjunction right-hand side; DCI
 is then the quadratic form a^T M a and DCII is the Euler characteristic of
 the exceptional configuration minus one.  Each public function that takes a
-graph refuses any argument but a ``ResolutionGraph`` with BadParameter.  The
-sweep reads each graph's weights and edges once and checks them once (int
-weights and central genus, a bool refused, and arms of one length, or
-BadParameter).  It eliminates the sparse rows of ``intersection_matrix``
-that it builds from them with no second type pass or copy, through
+graph refuses any argument but a ``ResolutionGraph`` with BadParameter, and
+trusts the graph, which checked itself when it was built.
+``coefficients_from_matrix`` eliminates the fresh rows of
+``intersection_matrix`` with no second type pass or copy, through
 ``resolution._pivots`` and the forward substitution ``_forward``, the two
 that ``solve_exact`` runs after ``eliminate``'s checks and copy; an
 eliminated star row holds one or two entries, so both walk each row in a
-plain loop.  It compares the results against the closed forms in
+plain loop.  The sweep solves each pair once, and ``_invariants`` reads DCI
+and DCII from the coefficients.  It compares the results against the closed forms in
 :mod:`linesurf.local`, one ``OracleReport`` NamedTuple per pair, built
 positionally through ``tuple.__new__``.  The graphs
 take their arms from ``hj_expand``, one term per step, and the closed forms
@@ -38,9 +38,9 @@ from .resolution import (
     STAR,
     ResolutionGraph,
     _pivots,
-    _rows,
     build_resolution_graph,
     eliminate,
+    intersection_matrix,
 )
 
 
@@ -87,44 +87,22 @@ def _forward(rows: list[dict[int, int]], b: list[int]) -> list[int | Fraction]:
 
 
 def adjunction_rhs(graph: ResolutionGraph) -> list[int]:
-    """k_v = E_v . K = 2 g(v) - 2 + w(v) for every vertex; a malformed graph
-    raises BadParameter, from the check in ``_rhs``."""
+    """k_v = E_v . K = 2 g(v) - 2 + w(v) for every vertex."""
     if type(graph) is not ResolutionGraph:
         raise BadParameter(f"adjunction_rhs needs a ResolutionGraph, got {type(graph).__name__}")
-    return _rhs(graph, graph.weights())
-
-
-def _rhs(graph: ResolutionGraph, weights: tuple[int, ...]) -> list[int]:
-    """``adjunction_rhs`` on weights that the caller read once, after the one
-    check of the graph: every weight and the central genus an exact int, a
-    bool refused, and the arms of one length, or BadParameter.  ``_rows``
-    then builds square int rows from the graph's weights and edges."""
-    genus = 0 if graph.central is None else graph.central[0]
-    if not ({int}.issuperset(map(type, weights)) and type(genus) is int
-            and len(set(map(len, graph.arms))) < 2):
-        raise BadParameter(f"graph (r, d)=({_repr(graph.r)}, {_repr(graph.d)}) needs int "
-                           f"weights and central genus and arms of one length")
-    rhs = [weight - 2 for weight in weights]
+    rhs = [weight - 2 for weight in graph.weights()]
     if graph.central is not None:
-        rhs[0] += 2 * genus
+        rhs[0] += 2 * graph.central[0]
     return rhs
 
 
 def coefficients_from_matrix(graph: ResolutionGraph) -> tuple[int, ...]:
-    """Solve M a = k on the graph's rows; return the (checked integral) coefficients."""
+    """Solve M a = k on the graph's rows, built here and so handed to
+    ``_pivots`` as they are; return the (checked integral) coefficients."""
     if type(graph) is not ResolutionGraph:
         raise BadParameter("coefficients_from_matrix needs a ResolutionGraph, "
                            f"got {type(graph).__name__}")
-    return _solve(graph, graph.weights(), graph.edge_list())
-
-
-def _solve(graph: ResolutionGraph, weights, edges) -> tuple[int, ...]:
-    """``coefficients_from_matrix`` on weights and edges that the caller read
-    once: ``_rhs`` checks the graph before ``_rows`` builds its rows, which
-    then go to ``_pivots`` as they are, not through ``eliminate``'s checks
-    and copy."""
-    b = _rhs(graph, weights)
-    solution = _forward(*_pivots(_rows(weights, edges), b))
+    solution = _forward(*_pivots(intersection_matrix(graph), adjunction_rhs(graph)))
     if not set(map(type, solution)) <= {int}:
         raise InternalCheckError(f"non-integral coefficients {solution} for (r, d)="
                                  f"({graph.r}, {graph.d})")
@@ -136,29 +114,22 @@ def local_invariants_from_graph(graph: ResolutionGraph) -> tuple[int, int]:
     if type(graph) is not ResolutionGraph:
         raise BadParameter("local_invariants_from_graph needs a ResolutionGraph, "
                            f"got {type(graph).__name__}")
-    return _oracle(graph)[1:]
+    return _invariants(graph, coefficients_from_matrix(graph))
 
 
-def _oracle(graph: ResolutionGraph) -> tuple[tuple[int, ...], int, int]:
-    """The solved coefficients a, DCI = a^T M a and DCII, reading the graph once."""
+def _invariants(graph: ResolutionGraph, a: tuple[int, ...]) -> tuple[int, int]:
+    """(DCI, DCII) from the graph and its solved coefficients a.  Each edge is
+    an ordinary double point, but a blown-down star's r roots meet in one."""
     weights, edges = graph.weights(), graph.edge_list()
-    a = _solve(graph, weights, edges)
     cross = 0  # the edge sum of a^T M a, whose off-diagonal entries are 1
     for i, j in edges:
         cross += a[i] * a[j]
     dci = 2 * cross - sum(map(mul, map(mul, a, a), weights))
     genus = graph.central[0] if graph.central is not None else 0
-    chi_curves = 2 * len(weights) - 2 * genus
+    excess = len(edges)
     if graph.shape == BLOWN_DOWN_STAR:
-        # the r arm roots meet in one common point of multiplicity r;
-        # arm-internal edges are ordinary double points
-        roots = set(graph.arm_root_indices())
-        simple = sum(1 for i, j in edges if not (i in roots and j in roots))
-        excess = simple + (graph.r - 1)
-    else:
-        excess = len(edges)
-    dcii = (chi_curves - excess) - 1
-    return a, dci, dcii
+        excess -= (graph.r - 1) * (graph.r - 2) // 2  # its C(r, 2) clique edges count r - 1
+    return dci, 2 * len(weights) - 2 * genus - excess - 1
 
 
 def expected_vertex_coefficients(r: int, d: int) -> tuple[int, ...]:
@@ -177,7 +148,9 @@ def sweep_verify(r_max: int, d_max: int) -> list[OracleReport]:
     reports = []
     for r in range(2, r_max + 1):
         for d in range(r, d_max + 1):
-            solved, oracle_dci, oracle_dcii = _oracle(build_resolution_graph(r, d))
+            graph = build_resolution_graph(r, d)
+            solved = coefficients_from_matrix(graph)
+            oracle_dci, oracle_dcii = _invariants(graph, solved)
             closed = local_invariants(r, d)
             # positionally, in one C call, as ``local_invariants`` builds its row
             reports.append(tuple.__new__(OracleReport, (

@@ -333,6 +333,47 @@ class TestGraph:
         code, out, err = run(capsys, "graph", "--r", "3", "--d", "5", "--dot", str(target))
         assert (code, out) == (2, "") and err.startswith("FileNotFoundError: ")
 
+    # the summary, without its last line, and the DOT file of a star, a
+    # blown-down star, the lambda = 0 star and a node in either shape, byte for byte
+    PINNED = {
+        (3, 5): ("shape: star\nvertices: 7\ncentral: genus=0 b=2\nlambda: 2\n"
+                 "arm weights: [2, 3]\n",
+                 'graph "resolution_r3_d5" {\n  c [label="w=2 g=0"];\n'
+                 '  a1_1 [label="w=2"];\n  a1_2 [label="w=3"];\n  a2_1 [label="w=2"];\n'
+                 '  a2_2 [label="w=3"];\n  a3_1 [label="w=2"];\n  a3_2 [label="w=3"];\n'
+                 "  c -- a1_1;\n  a1_1 -- a1_2;\n  c -- a2_1;\n  a2_1 -- a2_2;\n"
+                 "  c -- a3_1;\n  a3_1 -- a3_2;\n}\n"),
+        (3, 7): ("shape: blown_down_star\nvertices: 6\nlambda: 2\narm weights: [3, 2]\n",
+                 'graph "resolution_r3_d7" {\n  a1_1 [label="w=3"];\n'
+                 '  a1_2 [label="w=2"];\n  a2_1 [label="w=3"];\n  a2_2 [label="w=2"];\n'
+                 '  a3_1 [label="w=3"];\n  a3_2 [label="w=2"];\n  a1_1 -- a1_2;\n'
+                 "  a2_1 -- a2_2;\n  a3_1 -- a3_2;\n  a1_1 -- a2_1;\n  a1_1 -- a3_1;\n"
+                 "  a2_1 -- a3_1;\n}\n"),
+        (4, 4): ("shape: star\nvertices: 1\ncentral: genus=3 b=4\nlambda: 0\n"
+                 "arm weights: []\n",
+                 'graph "resolution_r4_d4" {\n  c [label="w=4 g=3"];\n}\n'),
+        (2, 6): ("shape: star\nvertices: 5\ncentral: genus=0 b=2\nlambda: 2\n"
+                 "arm weights: [2, 2]\n",
+                 'graph "resolution_r2_d6" {\n  c [label="w=2 g=0"];\n'
+                 '  a1_1 [label="w=2"];\n  a1_2 [label="w=2"];\n  a2_1 [label="w=2"];\n'
+                 '  a2_2 [label="w=2"];\n  c -- a1_1;\n  a1_1 -- a1_2;\n  c -- a2_1;\n'
+                 "  a2_1 -- a2_2;\n}\n"),
+        (2, 7): ("shape: blown_down_star\nvertices: 6\nlambda: 3\narm weights: [2, 2, 2]\n",
+                 'graph "resolution_r2_d7" {\n  a1_1 [label="w=2"];\n'
+                 '  a1_2 [label="w=2"];\n  a1_3 [label="w=2"];\n  a2_1 [label="w=2"];\n'
+                 '  a2_2 [label="w=2"];\n  a2_3 [label="w=2"];\n  a1_1 -- a1_2;\n'
+                 "  a1_2 -- a1_3;\n  a2_1 -- a2_2;\n  a2_2 -- a2_3;\n  a1_1 -- a2_1;\n}\n"),
+    }
+
+    @pytest.mark.parametrize("r, d", sorted(PINNED))
+    def test_summary_and_dot_bytes(self, capsys, tmp_path, r, d):
+        summary, dot = self.PINNED[r, d]
+        target = tmp_path / "graph.dot"
+        code, out, err = run(capsys, "graph", "--r", str(r), "--d", str(d),
+                             "--dot", str(target))
+        assert (code, out, err) == (0, f"{summary}dot written to {target}\n", "")
+        assert target.read_bytes() == dot.encode()
+
 
 class TestGraphSizeCap:
     # a resolution graph of about d/3 vertices per arm, a node's graph of

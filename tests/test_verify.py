@@ -21,7 +21,7 @@ from linesurf import (
 )
 from linesurf import resolution, verify
 from linesurf.errors import BadParameter, LineSurfError, NotSymmetric, SingularMatrix
-from linesurf.resolution import _pivots, _rows, eliminate
+from linesurf.resolution import BLOWN_DOWN_STAR, STAR, _pivots, eliminate
 from linesurf.verify import (
     adjunction_rhs,
     expected_vertex_coefficients,
@@ -392,15 +392,14 @@ class TestGraphRows:
                     assert (rows, rhs) == before, (r, d, call)
 
     def test_core_on_graph_rows_matches_eliminate(self):
-        # the oracle hands the rows that _rows builds straight to _pivots:
-        # the same rows, in the same order, and rhs as through eliminate
+        # the oracle hands the rows that intersection_matrix builds straight
+        # to _pivots: the same rows, in the same order, and rhs as through eliminate
         for d in range(2, 61):
             for r in range(2, d + 1):
                 g = build_resolution_graph(r, d)
-                weights, edges = g.weights(), g.edge_list()
-                for rhs in ([0] * len(weights), adjunction_rhs(g)):
+                for rhs in ([0] * g.vertex_count, adjunction_rhs(g)):
                     rows, b = eliminate(intersection_matrix(g), rhs)
-                    core_rows, core_b = _pivots(_rows(weights, edges), list(rhs))
+                    core_rows, core_b = _pivots(intersection_matrix(g), list(rhs))
                     assert core_b == b, (r, d, rhs)
                     assert list(map(list, map(dict.items, core_rows))) \
                         == list(map(list, map(dict.items, rows))), (r, d, rhs)
@@ -432,6 +431,16 @@ class TestOracle:
         inv = local_invariants(3, 7)
         assert local_invariants_from_graph(g) == (inv.dci, inv.dcii)
 
+    # the fields of build_resolution_graph(3, 5) and (3, 7)
+    STAR_3_5 = {"r": 3, "d": 5, "shape": STAR, "central": (0, 2), "arms": ((2, 3),) * 3}
+    BLOWN_3_7 = {"r": 3, "d": 7, "shape": BLOWN_DOWN_STAR, "central": None,
+                 "arms": ((3, 2),) * 3}
+
+    def test_hand_built_graphs_equal_the_built_ones(self):
+        assert ResolutionGraph(**self.STAR_3_5) == build_resolution_graph(3, 5)
+        assert ResolutionGraph(**self.BLOWN_3_7) == build_resolution_graph(3, 7)
+        assert not hasattr(ResolutionGraph, "_replace")
+
     @pytest.mark.parametrize("fields", [
         {"central": ("1", 4)},              # a str genus
         {"central": (1, None)},             # no central weight
@@ -439,14 +448,23 @@ class TestOracle:
         {"arms": ((2, 3), (2,), (2, 3))},   # arms of two lengths
         {"arms": ((True, 3),) * 3},         # a bool weight
         {"arms": ((2.0, 3),) * 3},          # a float weight
+        {"central": (1,)},                  # no central weight at all
+        {"central": 5},                     # no central pair
+        {"arms": (5,)},                     # an arm that is no tuple
+        {"arms": None},                     # no arms tuple
+        {"shape": "chain"},                 # an unknown shape
+        {"arms": ((2, 3),) * 2},            # two arms for r = 3
+        {**BLOWN_3_7, "r": "3"},            # a str r
+        {**BLOWN_3_7, "central": (0, 1)},   # a blown-down star with a centre
+        {**BLOWN_3_7, "arms": ()},          # a blown-down star with no arms
+        {**BLOWN_3_7, "arms": ((),) * 3},   # ... or with arms of no vertex
     ])
     def test_refuses_a_malformed_graph(self, fields):
-        # one check of the hand-built graph, before its rows are built, not a
-        # TypeError, IndexError or InternalCheckError from deeper down
-        g = build_resolution_graph(3, 5)._replace(**fields)
-        for call in (coefficients_from_matrix, local_invariants_from_graph, adjunction_rhs):
-            with pytest.raises(BadParameter):
-                call(g)
+        # the hand-built graph, the star (3, 5) with these fields, checks
+        # itself when it is built, so no TypeError, IndexError or
+        # InternalCheckError escapes from deeper down
+        with pytest.raises(BadParameter):
+            ResolutionGraph(**{**self.STAR_3_5, **fields})
 
     def test_expected_vector_matches_order(self):
         assert expected_vertex_coefficients(3, 5) == (-3, -2, -1, -2, -1, -2, -1)
@@ -475,28 +493,20 @@ class TestSweep:
         assert len(calls) == len(reports)
 
     def test_one_graph_read_per_pair(self, monkeypatch):
-        # the solve, DCI and DCII share one weights() and one edge_list() per
-        # graph, in the sweep and in local_invariants_from_graph
-        calls = {"weights": 0, "edge_list": 0}
+        # the sweep builds one graph per pair, whose weights and edges are
+        # computed once, when it is built, and read from there
+        built = []
+        init = ResolutionGraph.__init__
 
-        def counted(name):
-            method = getattr(ResolutionGraph, name)
+        def counting(graph, *args):
+            built.append(args[:2])
+            init(graph, *args)
 
-            def counting(graph):
-                calls[name] += 1
-                return method(graph)
-            return counting
-
-        for name in calls:
-            monkeypatch.setattr(ResolutionGraph, name, counted(name))
+        monkeypatch.setattr(ResolutionGraph, "__init__", counting)
         reports = sweep_verify(4, 12)
-        assert calls == {"weights": len(reports), "edge_list": len(reports)}
-        graphs = [build_resolution_graph(r, d) for r, d in ((3, 5), (3, 7), (2, 9), (5, 5))]
-        for name in calls:
-            calls[name] = 0
-        for g in graphs:
-            local_invariants_from_graph(g)
-        assert calls == {"weights": len(graphs), "edge_list": len(graphs)}
+        assert built == [(rep.r, rep.d) for rep in reports]
+        for g in map(build_resolution_graph, (3, 3, 2, 5), (5, 7, 9, 5)):
+            assert g.weights() is g.weights() and g.edge_list() is g.edge_list()
 
     def test_matches_the_public_per_graph_path(self):
         # each report equals the one built from the public per-graph calls,
