@@ -8,12 +8,17 @@ on the sweep's own systems: resolution._pivots on the rows and adjunction
 right-hand sides that the public intersection_matrix and
 verify.adjunction_rhs build for every pair, and verify._forward on what
 _pivots returns.  _pivots works in place, so each pass eliminates fresh
-copies made before its clock starts.  Last it times check_negative_definite
-over the intersection matrices of every graph with d <= 40, the
-definite-sweep benchmark's operations, which includes eliminate's checks and
-copy.  The JSON gives each item's median and fastest pass in seconds, with
-its pair or graph count; the medians of two source trees compare when they
-run on one machine, one tree after the other.
+copies made before its clock starts.  Last it times the definite-sweep
+benchmark's operations, one graph at a time over every graph with d <= 40,
+in four steps: build_resolution_graph, intersection_matrix,
+resolution._checked_rows (check_negative_definite's check and copy, with
+its zero right-hand side made before the clock starts) and _pivots on the
+copies; then check_negative_definite whole, on the same matrices.  The JSON
+gives each item's median and fastest pass in seconds, with its pair or
+graph count; each definite step also gives graph_p50_s, the median over
+graphs of each graph's fastest time, which tracks the benchmark's
+op_ms_p50.  The medians of two source trees compare when they run on one
+machine, one tree after the other.
 
 Example:
     python3 scripts/oracle_timing.py --passes 5
@@ -26,7 +31,7 @@ import time
 
 from linesurf import (build_resolution_graph, check_negative_definite, intersection_matrix,
                       sweep_verify)
-from linesurf.resolution import _pivots
+from linesurf.resolution import _checked_rows, _pivots
 from linesurf.verify import _forward, adjunction_rhs
 
 SWEEPS = ((8, 24), (10, 60))
@@ -61,15 +66,32 @@ def sweep_timing(r_max: int, d_max: int, passes: int) -> dict:
 
 
 def definite_timing(passes: int) -> dict:
-    matrices = [intersection_matrix(build_resolution_graph(r, d))
-                for d in range(2, DEFINITE_D + 1) for r in range(2, d + 1)]
-    seconds = []
+    pairs = [(r, d) for d in range(2, DEFINITE_D + 1) for r in range(2, d + 1)]
+    steps = {"build": [], "matrix": [], "check_copy": [], "pivots": [],
+             "check_negative_definite": []}
+    fastest = {step: [float("inf")] * len(pairs) for step in steps}
+
+    def timed(step: str, call, args: list) -> list:
+        results, best, total = [], fastest[step], 0.0
+        for k, arg in enumerate(args):
+            start = time.perf_counter()
+            results.append(call(*arg))
+            elapsed = time.perf_counter() - start
+            best[k] = min(best[k], elapsed)
+            total += elapsed
+        steps[step].append(total)
+        return results
+
     for _ in range(passes):
-        start = time.perf_counter()
-        for m in matrices:
-            check_negative_definite(m)
-        seconds.append(time.perf_counter() - start)
-    return {"d_max": DEFINITE_D, "graphs": len(matrices), **summary(seconds)}
+        graphs = timed("build", build_resolution_graph, pairs)
+        matrices = timed("matrix", intersection_matrix, [(g,) for g in graphs])
+        copies = timed("check_copy", _checked_rows, [(m, [0] * len(m)) for m in matrices])
+        timed("pivots", _pivots, [(rows, [0] * len(rows)) for rows in copies])
+        timed("check_negative_definite", check_negative_definite, [(m,) for m in matrices])
+    report = {step: {**summary(seconds), "graph_p50_s": statistics.median(fastest[step])}
+              for step, seconds in steps.items()}
+    return {"d_max": DEFINITE_D, "graphs": len(pairs), **report.pop("check_negative_definite"),
+            "steps": report}
 
 
 def main() -> int:

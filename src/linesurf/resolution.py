@@ -19,10 +19,11 @@ root to tip, arm 2, and so on; only DOT names the nodes: ``c`` and
 integer rows {column: nonzero entry}.  ``intersection_matrix`` builds these
 rows from the weights and edges in O(vertices + edges); it and ``to_dot``
 refuse any argument but a ``ResolutionGraph`` with BadParameter.  ``eliminate``
-checks and copies such rows for the package's one exact elimination, its
-core ``_pivots``, which updates them in place: the definiteness test reads
-its pivot signs, and the oracle in :mod:`linesurf.verify` hands it the rows
-that ``intersection_matrix`` has just built, with no second check or copy.
+checks and copies such rows, in one loop over their entries, for the
+package's one exact elimination, its core ``_pivots``, which trusts its
+caller and updates them in place: the definiteness test reads its pivot
+signs, and the oracle in :mod:`linesurf.verify` checks the symmetry of the
+rows that ``intersection_matrix`` has just built and hands them over.
 Each row carries a positive multiplier for its off-diagonal entries, so a
 pivot with one lower neighbour, such as an arm vertex, updates that
 neighbour in O(1), and a star's centre costs O(r), not O(r^2).
@@ -30,6 +31,7 @@ neighbour in O(1), and a star's centre costs O(r), not O(r^2).
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set as AbstractSet
 from itertools import chain, combinations, repeat
 from math import gcd
 from typing import NamedTuple, Optional
@@ -209,56 +211,75 @@ def intersection_matrix(graph: ResolutionGraph) -> list[dict[int, int]]:
     return rows
 
 
-def _sparse_rows(matrix, rhs: list) -> list[dict[int, int]]:
-    """Copy a square matrix of row dicts {column: entry} into sparse rows
-    {column: nonzero entry}.  Every row, column and entry, and every entry of
-    the right-hand side list ``rhs``, is checked in C-level passes, zeros
-    included: a row that is not a dict, such as a dense list, raises
-    BadParameter, and a non-int column or entry, a bool included, TypeError;
-    the exact-int test is one pass per list, ending at the first other type."""
-    n = len(matrix)
+def _checked_rows(matrix, b: list) -> list[dict[int, int]]:
+    """``eliminate``'s checks, and its copy of ``matrix`` as sparse rows
+    {column: nonzero entry}.  After a C-level pass that every row is a dict,
+    one loop over the entries raises TypeError at a non-int column or entry
+    and notes a column out of range, the first nonzero entry in row order
+    that differs from its mirror ``rows[j].get(i, 0)``, and any stored zero;
+    the notes raise after the type pass over ``b``, in ``eliminate``'s
+    order.  With no stored zero, as from ``intersection_matrix``, the copy
+    is ``list(map(dict, matrix))``."""
     if not all(map(isinstance, matrix, repeat(dict))):
         raise BadParameter("matrix rows must be dicts {column: entry}")
-    cols = list(chain.from_iterable(matrix))
-    entries = list(chain.from_iterable(map(dict.values, matrix)))
-    if not ({int}.issuperset(map(type, cols)) and {int}.issuperset(map(type, entries))
-            and {int}.issuperset(map(type, rhs))):
-        raise TypeError("sparse rows and right-hand side need int columns and entries")
-    if cols and (min(cols) < 0 or max(cols) >= n):
+    rows = list(map(dict, matrix))
+    n, square, pair, zeros = len(rows), True, None, False
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            if not type(j) is type(v) is int:
+                raise TypeError("need int columns and entries")
+            if not 0 <= j < n:
+                square = False
+            elif v:
+                if rows[j].get(i, 0) != v and pair is None:
+                    pair = i, j
+            else:
+                zeros = True
+    if not {int}.issuperset(map(type, b)):
+        raise TypeError("need int right-hand side entries")
+    if not square:
         raise NotSymmetric("matrix is not square")
-    if 0 in entries:
-        return [{j: v for j, v in row.items() if v} for row in matrix]
-    # no stored zeros, as in intersection_matrix: a plain copy, about 3% of an oracle sweep
-    return list(map(dict, matrix))
+    if len(b) != n:
+        raise BadParameter(f"right-hand side has {len(b)} entries for {n} rows")
+    if pair:
+        i, j = pair
+        raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
+    if zeros:
+        return [{j: v for j, v in row.items() if v} for row in rows]
+    return rows
 
 
 def eliminate(matrix, rhs) -> tuple[list[dict[int, int]], list[int]]:
     """Integer elimination of the symmetric system M x = rhs, highest index first.
 
     ``matrix``, a list of row dicts {column: entry} such as
-    ``intersection_matrix`` returns, and ``rhs`` are checked and copied, and
-    ``_pivots`` eliminates the copies in place, so the caller's lists are left
-    as they were.  A matrix that is not square and symmetric raises
-    NotSymmetric, a matrix with no length or a row that is not a dict, a
-    non-int entry of the matrix or the right-hand side, a bool included, or a
-    right-hand side of another length BadParameter, and a zero pivot
-    SingularMatrix (see ``_pivots``).
+    ``intersection_matrix`` returns, and ``rhs``, a sequence, are checked and
+    copied by ``_checked_rows``, and ``_pivots`` eliminates the copies in
+    place, so the caller's lists are left as they were.  The first fault in
+    this order raises: a matrix with no length, a mapping or set ``rhs``
+    (which ``list`` reads as its keys, or in hash order) or a row that is
+    not a dict, BadParameter; a non-int column or entry of the matrix or
+    ``rhs``, a bool included, BadParameter; a column out of range,
+    NotSymmetric; an ``rhs`` of another length, BadParameter; the first
+    asymmetric pair in row order, NotSymmetric; a zero pivot, SingularMatrix.
     """
     try:
-        n, b = len(matrix), list(rhs)
-        rows = _sparse_rows(matrix, b)
+        len(matrix)  # a matrix with no length, such as a generator, is refused
+        if isinstance(rhs, (Mapping, AbstractSet)):
+            raise BadParameter(f"right-hand side must be a sequence, got a {type(rhs).__name__}")
+        b = list(rhs)
+        rows = _checked_rows(matrix, b)
     except TypeError:
         raise BadParameter("need a list of row dicts with int columns and entries, "
                            "and an int right-hand side") from None
-    if len(b) != n:
-        raise BadParameter(f"right-hand side has {len(b)} entries for {n} rows")
     return _pivots(rows, b)
 
 
 def _pivots(rows: list[dict[int, int]], b: list[int]) -> tuple[list[dict[int, int]], list[int]]:
-    """``eliminate``'s core, in place on square sparse int rows, with no
-    stored zero off the diagonal, and an int rhs of their length: the oracle
-    hands it the rows ``intersection_matrix`` just built.  Pivot p = a_kk turns
+    """``eliminate``'s core, in place, which checks only its pivots and
+    trusts its caller for square symmetric sparse int rows, with no stored
+    zero off the diagonal, and an int rhs of their length: ``eliminate``'s
+    checked copies, or the oracle's fresh graph rows.  Pivot p = a_kk turns
     each row i < k into |p| row_i - sign(p) a_ik row_k and divides it and
     rhs_i by a common factor, so every row stays a positive multiple of its
     rational counterpart.  Row i stores its off-diagonal entries divided by a
@@ -271,15 +292,10 @@ def _pivots(rows: list[dict[int, int]], b: list[int]) -> tuple[list[dict[int, in
     the other steps as plain loops over a row's few entries.  Returns
     the sparse rows, now lower triangular, and the rhs; rows[k][k] has the
     sign of the k-th pivot.  Intersection matrices lose arm tips first and
-    get no fill-in.  A matrix that is not symmetric raises NotSymmetric, and
-    a zero pivot, from a singular matrix or one that needs a row exchange,
-    SingularMatrix.
+    get no fill-in.  A zero pivot, from a singular matrix or one that needs
+    a row exchange, raises SingularMatrix.
     """
     n = len(rows)
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            if rows[j].get(i) != v:
-                raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
     mult = [1] * n  # row i's off-diagonal entries stand for mult[i] times their value
     for k in range(n - 1, -1, -1):
         pivot_row = rows[k]
@@ -330,7 +346,8 @@ def _pivots(rows: list[dict[int, int]], b: list[int]) -> tuple[list[dict[int, in
 def check_negative_definite(m) -> bool:
     """Exact Sylvester test: (-1)^k det M_k > 0 for all leading minors M_k.
 
-    ``m`` is a list of row dicts, as ``eliminate`` takes.  True iff every
+    ``m`` is a list of row dicts, refused as ``eliminate`` refuses it with a
+    zero right-hand side, but a zero pivot reads as False.  True iff every
     pivot of ``eliminate`` is negative: its pivots are ratios of consecutive
     leading minors of the index-reversed matrix, a symmetric permutation of M
     with the same definiteness.

@@ -7,13 +7,14 @@ is then the quadratic form a^T M a and DCII is the Euler characteristic of
 the exceptional configuration minus one.  Each public function that takes a
 graph refuses any argument but a ``ResolutionGraph`` with BadParameter, and
 trusts the graph, which checked itself when it was built.
-``coefficients_from_matrix`` eliminates the fresh rows of
-``intersection_matrix`` with no second type pass or copy, through
-``resolution._pivots`` and the forward substitution ``_forward``, the two
-that ``solve_exact`` runs after ``eliminate``'s checks and copy; an
-eliminated star row holds one or two entries, so both walk each row in a
-plain loop.  The sweep solves each pair once, and ``_invariants`` reads DCI
-and DCII from the coefficients.  It compares the results against the closed forms in
+``coefficients_from_matrix`` checks the symmetry of the fresh rows of
+``intersection_matrix``, the one check they need, and eliminates them with
+no type pass or copy, through ``resolution._pivots`` and the forward
+substitution ``_forward``, the two that ``solve_exact`` runs after
+``eliminate``'s checks and copy; an eliminated star row holds one or two
+entries, so both walk each row in a plain loop.  The sweep solves each pair
+once, and ``_invariants`` reads DCI and DCII from the coefficients.  It
+compares the results against the closed forms in
 :mod:`linesurf.local`, one ``OracleReport`` NamedTuple per pair, built
 positionally through ``tuple.__new__``.  The graphs
 take their arms from ``hj_expand``, one term per step, and the closed forms
@@ -30,7 +31,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .errors import BadParameter, InternalCheckError
+from .errors import BadParameter, InternalCheckError, NotSymmetric
 from .local import canonical_coefficients, local_invariants
 from .record import _repr
 from .resolution import (
@@ -98,11 +99,17 @@ def adjunction_rhs(graph: ResolutionGraph) -> list[int]:
 
 def coefficients_from_matrix(graph: ResolutionGraph) -> tuple[int, ...]:
     """Solve M a = k on the graph's rows, built here and so handed to
-    ``_pivots`` as they are; return the (checked integral) coefficients."""
+    ``_pivots`` as they are once they are checked symmetric (NotSymmetric
+    otherwise); return the (checked integral) coefficients."""
     if type(graph) is not ResolutionGraph:
         raise BadParameter("coefficients_from_matrix needs a ResolutionGraph, "
                            f"got {type(graph).__name__}")
-    solution = _forward(*_pivots(intersection_matrix(graph), adjunction_rhs(graph)))
+    rows = intersection_matrix(graph)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            if rows[j].get(i) != v:
+                raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
+    solution = _forward(*_pivots(rows, adjunction_rhs(graph)))
     if not set(map(type, solution)) <= {int}:
         raise InternalCheckError(f"non-integral coefficients {solution} for (r, d)="
                                  f"({graph.r}, {graph.d})")

@@ -109,7 +109,11 @@ def test_oracle_timing():
         assert timing["pairs"] == sum(d_max - r + 1 for r in range(2, r_max + 1))
         for step in ("sweep", "pivots", "forward"):
             assert 0 < timing[step]["min_s"] <= timing[step]["median_s"]
-    # every graph with 2 <= r <= d <= 40
+    # every graph with 2 <= r <= d <= 40, whole and in the definite-sweep operation's four steps
     definite = report["check_negative_definite"]
     assert (definite["d_max"], definite["graphs"]) == (40, comb(40, 2))
-    assert 0 < definite["min_s"] <= definite["median_s"]
+    assert list(definite["steps"]) == ["build", "matrix", "check_copy", "pivots"]
+    for timing in (definite, *definite["steps"].values()):
+        assert 0 < timing["min_s"] <= timing["median_s"]
+        # one graph's fastest time, at the median over graphs, is below a pass's total
+        assert 0 < timing["graph_p50_s"] < timing["min_s"]

@@ -118,6 +118,87 @@ class TestSolveExact:
         with pytest.raises(BadParameter):
             solve_exact(dense, [0, -3])
 
+    @pytest.mark.parametrize("matrix, rhs", [
+        ([{0: -1}], {0: 5}),                              # read as its keys, [0]
+        ([{0: -2, 1: 1}, {0: 1, 1: -2}], {1: 7, 0: 9}),   # read as [1, 0]
+        ([{0: -2, 1: 1}, {0: 1, 1: -2}], {9, 5}),         # read in hash order
+        ([{0: -2, 1: 1}, {0: 1, 1: -2}], frozenset({9, 5})),
+    ], ids=["dict", "dict-of-two", "set", "frozenset"])
+    def test_rejects_a_mapping_or_set_rhs(self, matrix, rhs):
+        for call in (eliminate, solve_exact):
+            with pytest.raises(BadParameter, match="must be a sequence"):
+                call(matrix, rhs)
+
+    def test_accepts_a_sequence_or_iterator_rhs(self):
+        m = [{0: -2, 1: 1}, {0: 1, 1: -2}]
+        for rhs in ([0, -3], (0, -3), iter([0, -3]), (v for v in (0, -3)), {0: 0, 1: -3}.values()):
+            assert solve_exact(m, rhs) == [1, 2]
+
+
+ENTRY_POINTS = {
+    "eliminate": eliminate,
+    "solve_exact": solve_exact,
+    "check_negative_definite": lambda matrix, _: check_negative_definite(matrix),
+}
+GENERIC = "need a list of row dicts with int columns and entries, and an int right-hand side"
+
+
+class TestErrorOrder:
+    """Each refused system raises the first of its faults, in this order: no
+    length or a row that is not a dict, a non-int column or entry, a column
+    out of range, a right-hand side of another length, the first asymmetric
+    pair in row order, a zero pivot.  check_negative_definite makes its own
+    zero right-hand side, so an rhs fault never reaches it.  The messages
+    are pinned."""
+
+    CASES = [  # (matrix, rhs, refusal through eliminate and solve_exact, through the test)
+        ([{0: -2, 1: 1}, {0: 2, 1: -2.0}], [0, 0],          # asymmetric, then a float entry
+         (BadParameter, GENERIC), (BadParameter, GENERIC)),
+        ([{0: -2, 1: True}, {0: 2, 1: -2}], [0, 0],         # a bool entry, asymmetric
+         (BadParameter, GENERIC), (BadParameter, GENERIC)),
+        ([{0: 1.5}, [1]], [0, 0],                           # a float entry, then a dense row
+         (BadParameter, "matrix rows must be dicts {column: entry}"),
+         (BadParameter, "matrix rows must be dicts {column: entry}")),
+        ([{0: -2, 1: 1}, {0: 2, 1: -2, 2: 1}], [0, 0],      # asymmetric, then out of range
+         (NotSymmetric, "matrix is not square"), (NotSymmetric, "matrix is not square")),
+        ([{0: -2, -1: 1}, {0: 1, 1: -2}], [0],              # a negative column, a short rhs
+         (NotSymmetric, "matrix is not square"), (NotSymmetric, "matrix is not square")),
+        ([{0: -2, 2: 1}, {0: 1, 1: -2}], [0, 0.5],          # out of range, a float rhs entry
+         (BadParameter, GENERIC), (NotSymmetric, "matrix is not square")),
+        ([{0: -2, 1: 1}, {0: 2, 1: -2}], [0],               # asymmetric, a short rhs
+         (BadParameter, "right-hand side has 1 entries for 2 rows"),
+         (NotSymmetric, "entries (0,1) and (1,0) differ")),
+        ([{0: -2, 1: 0}, {0: 1, 1: -2}], [0, 0],            # a stored zero, a nonzero mirror
+         (NotSymmetric, "entries (1,0) and (0,1) differ"),
+         (NotSymmetric, "entries (1,0) and (0,1) differ")),
+        ([{0: -2, 1: 1}, {0: 2, 1: 0}], [0, 0],             # asymmetric, a zero pivot
+         (NotSymmetric, "entries (0,1) and (1,0) differ"),
+         (NotSymmetric, "entries (0,1) and (1,0) differ")),
+        ([{0: -2, 2: 1}, {1: -2, 0: 3}, {0: 1, 2: -2}], [0, 0, 0],  # the first pair in row order
+         (NotSymmetric, "entries (1,0) and (0,1) differ"),
+         (NotSymmetric, "entries (1,0) and (0,1) differ")),
+        ([{0: 0, 1: 1}, {0: 1, 1: 0}], [1, 1],              # symmetric, a zero pivot
+         (SingularMatrix, "zero pivot at index 1"), None),
+    ]
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("matrix, rhs, solve_error, definite_error", CASES)
+    def test_first_fault_is_raised(self, entry, matrix, rhs, solve_error, definite_error):
+        error = definite_error if entry == "check_negative_definite" else solve_error
+        if error is None:  # the definiteness test reads a zero pivot as not definite
+            assert check_negative_definite(matrix) is False
+            return
+        with pytest.raises(error[0]) as caught:
+            ENTRY_POINTS[entry](matrix, rhs)
+        assert str(caught.value) == error[1]
+
+    def test_stored_zeros_on_both_sides_are_accepted(self):
+        matrix = [{0: -2, 1: 0}, {0: 0, 1: -2}]
+        assert eliminate(matrix, [2, 4]) == ([{0: -2}, {1: -2}], [2, 4])
+        assert solve_exact(matrix, [2, 4]) == [-1, -2]
+        assert check_negative_definite(matrix) is True
+        assert matrix == [{0: -2, 1: 0}, {0: 0, 1: -2}]  # the caller's rows keep their zeros
+
 
 class TestTypePassAtTheFarEnd:
     """The exact-int test reads every column, entry and right-hand side entry:
@@ -465,6 +546,20 @@ class TestOracle:
         # InternalCheckError escapes from deeper down
         with pytest.raises(BadParameter):
             ResolutionGraph(**{**self.STAR_3_5, **fields})
+
+    def test_refuses_asymmetric_rows(self, monkeypatch):
+        # the oracle checks the symmetry of the rows it builds before it
+        # eliminates them, so a fault in intersection_matrix cannot pass
+        def lopsided(graph):
+            rows = intersection_matrix(graph)
+            rows[1][0] = 2  # its mirror (0, 1) stays 1
+            return rows
+
+        monkeypatch.setattr(verify, "intersection_matrix", lopsided)
+        g = build_resolution_graph(3, 5)
+        for call in (coefficients_from_matrix, local_invariants_from_graph):
+            with pytest.raises(NotSymmetric, match=r"^entries \(0,1\) and \(1,0\) differ$"):
+                call(g)
 
     def test_expected_vector_matches_order(self):
         assert expected_vertex_coefficients(3, 5) == (-3, -2, -1, -2, -1, -2, -1)
