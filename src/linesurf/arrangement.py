@@ -1,23 +1,23 @@
 """Rational line arrangements in the projective plane and their profiles.
 
 An arrangement is an ordered list of distinct lines a*x + b*y + c*z = 0 with
-rational coefficients.  A coordinate file's tokens are accepted and refused
-exactly as ``Fraction`` would, but ``[sign]digits[/digits]`` is read by
-``int()`` without building one (see ``_rational``).  Each line is stored as
-its primitive integer triple: denominators cleared, gcd 1, first nonzero
-entry positive, so two lines are equal exactly when they are the same
-projective line.  Its combinatorial profile records, for each multiplicity
-r >= 2, the number t_r of points lying on exactly r lines.  ``profile_of``
-groups the later lines through each point of each line by the ratio u : v
-of two coordinates of the integer cross product, which the line's equation
+rational coefficients, one per line of a coordinate file, where only \\n,
+\\r\\n and \\r end a line.  Its tokens are accepted and refused exactly as
+``Fraction`` would, but ``[sign]digits[/digits]`` is read by ``int()``
+without building one (see ``_rational``).  Each line is stored as its
+primitive integer triple: denominators cleared, gcd 1, first nonzero entry
+positive, so two lines are equal exactly when they are the same projective
+line.  Its combinatorial profile records, for each multiplicity r >= 2, the
+number t_r of points lying on exactly r lines.  ``profile_of`` groups the
+later lines through each point of each line by the ratio u : v of two
+coordinates of the integer cross product, which the line's equation
 completes; a point on r lines forms one group of each size 1, ..., r - 1,
 so t_r = n_{r-1} - n_r for n_s groups of size s.  A meeting's key is one
 exact int, i*W + floor(u*N/v), while the coefficients have fewer than
 FLOOR_KEY_BITS bits, and the gcd-normalised (i, u, v) from there on (see
-``profile_of``).  The profile is all that the downstream invariant
-machinery consumes, so named
-arrangements whose natural coordinates are not rational (Hesse, Ceva) enter
-through a catalog of profiles instead of coordinates.
+``profile_of``).  The profile is all that the downstream invariant machinery
+consumes, so named arrangements whose natural coordinates are not rational
+(Hesse, Ceva) enter through a catalog of profiles instead of coordinates.
 
 This module owns profile input: a ``Profile`` checks its own ranges and the
 pair-count identity when it is built, so every profile is balanced, and
@@ -204,13 +204,14 @@ def parse_arrangement(text: str) -> Arrangement:
     """Parse the line-list format: one `a b c` triple per line.
 
     Rational tokens (`p/q`, integers or decimals), `#` comments, blank lines
-    ignored.  A decimal exponent beyond MAX_EXPONENT in magnitude is refused.
-    Errors name file lines, counted from 1 with comments and blanks.
+    ignored; only `\\n`, `\\r\\n` and `\\r` end a line, as in text mode.  A
+    decimal exponent beyond MAX_EXPONENT in magnitude is refused.  Errors
+    name file lines, counted from 1 with comments and blanks.
     """
     if not isinstance(text, str):
         raise BadParameter(f"text must be a str, got {type(text).__name__}")
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines: dict[int, Line] = {}  # by file line
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         tokens = raw.partition("#")[0].split()
         if len(tokens) != 3:
             if not tokens:
@@ -221,17 +222,15 @@ def parse_arrangement(text: str) -> Arrangement:
         a, b, c = tokens
         coeffs = (_rational(a, lineno), _rational(b, lineno), _rational(c, lineno))
         try:
-            lines.append(Line(*_primitive(coeffs)))
+            lines[lineno] = Line(*_primitive(coeffs))
         except ZeroForm:
             raise ZeroForm(f"line {lineno}: all coefficients are zero") from None
     try:
-        return Arrangement(tuple(lines))
+        return Arrangement(tuple(lines.values()))
     except DuplicateLine:
         # name the file lines of the first repeat, not its arrangement indices
-        linenos = [lineno for lineno, raw in enumerate(text.splitlines(), start=1)
-                   if raw.partition("#")[0].split()]
         first: dict[Line, int] = {}
-        for line, lineno in zip(lines, linenos):
+        for lineno, line in lines.items():
             if first.setdefault(line, lineno) != lineno:
                 raise DuplicateLine(f"lines {first[line]} and {lineno} coincide") from None
         raise

@@ -129,7 +129,7 @@ def _resolve_input(args) -> tuple[Profile, Optional[int], dict]:
     q: Optional[int] = None
     if args.input is not None:
         try:
-            text = _path("input", args.input).read_text(encoding="utf-8")
+            text = _path("input", args.input).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise BadParameter(f"--input {args.input} is not UTF-8 text: {exc}") from None
         profile = profile_of(parse_arrangement(text))
@@ -217,7 +217,7 @@ def cmd_graph(args) -> int:
     _check_graph_size(args.r, args.d)
     graph = build_resolution_graph(args.r, args.d)
     if dot is not None:  # written first, so a failed write prints nothing
-        dot.write_text(to_dot(graph))
+        dot.write_text(to_dot(graph), encoding="utf-8")
     print(f"shape: {graph.shape}")
     print(f"vertices: {graph.vertex_count}")
     if graph.central is not None:

@@ -182,9 +182,9 @@ def _hodge_diamond(p: Profile, q: int, c1sq: int, c2: int) -> HodgeDiamond:
     if pg < 0 or h11 < 0:
         raise NegativeHodgeNumber(
             f"(profile, q) pair is unrealizable: pg={_repr(pg)}, h11={_repr(h11)}")
-    if 2 - 4 * q + 2 * pg + h11 != c2:
+    if (diamond := HodgeDiamond(q, pg, h11)).c2 != c2:
         raise InternalCheckError(f"Hodge numbers do not give c2 for {p}, q={q}")
-    return HodgeDiamond(q, pg, h11)
+    return diamond
 
 
 def chern_ratio_analysis(p: Profile) -> dict:

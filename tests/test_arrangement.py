@@ -1,5 +1,6 @@
 """Line parsing, profile extraction and catalog tests."""
 
+import io
 import random
 from collections import Counter
 from decimal import Decimal
@@ -40,6 +41,9 @@ TRIANGLE = "1 0 0\n0 1 0\n0 0 1\n"
 # zero (Arabic-Indic) and fullwidth one, which int() and Fraction accept,
 # and the superscript two, which both refuse
 TOKEN_ALPHABET = "0123456789+-/._eE\u0663\u00b2\uff11\u0660"
+# the characters at which str.splitlines also breaks a line, besides \n and
+# \r; in a coordinate file they are whitespace inside a line
+SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def _reference_token(tok, lineno):
@@ -55,14 +59,20 @@ def _reference_token(tok, lineno):
 
 
 def _reference_parse(text):
-    """The line-list parser on ``Fraction``s: each token through
-    ``_reference_token``, each row divided by its first nonzero entry and then
-    scaled by the lcm of its denominators.  A repeated line is named by the
-    file lines of its first repeat.  Returns the arrangement, or the type and
-    message of the error raised."""
+    """The line-list parser on ``Fraction``s over the lines of ``text`` as
+    text mode reads them: only \\n, \\r\\n and \\r end a line."""
+    return _reference_rows(io.StringIO(text, newline=None))
+
+
+def _reference_rows(rows):
+    """The line-list parser on ``Fraction``s over the file lines ``rows``:
+    each token through ``_reference_token``, each row divided by its first
+    nonzero entry and then scaled by the lcm of its denominators.  A repeated
+    line is named by the file lines of its first repeat.  Returns the
+    arrangement, or the type and message of the error raised."""
     try:
         lines, seen, repeat = [], {}, None
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(rows, start=1):
             tokens = raw.split("#", 1)[0].split()
             if not tokens:
                 continue
@@ -95,12 +105,14 @@ def _parse_outcome(text):
 @st.composite
 def line_texts(draw):
     """Line-list texts of mostly three-token rows: small integers, p/q with a
-    possibly signed or zero denominator, and arbitrary tokens."""
+    possibly signed or zero denominator, and arbitrary tokens, with one of
+    the three line ends."""
     token = st.one_of(st.integers(-9, 9).map(str),
                       st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-2, 9)),
                       st.text(alphabet=TOKEN_ALPHABET, min_size=1, max_size=6))
     rows = draw(st.lists(st.lists(token, min_size=2, max_size=4).map(" ".join), max_size=8))
-    return "\n".join(row + draw(st.sampled_from(("", "  # c"))) for row in rows)
+    end = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    return end.join(row + draw(st.sampled_from(("", "  # c"))) for row in rows)
 
 
 class TestLine:
@@ -209,6 +221,36 @@ class TestParse:
         with pytest.raises(TooFewLines):
             parse_arrangement("1 0 0\n")
 
+    def test_splitlines_only_breaks_are_exactly_these(self):
+        breaks = {chr(i) for i in range(0x110000) if len(f"a{chr(i)}b".splitlines()) == 2}
+        assert breaks == set("\n\r" + SPLITLINES_ONLY)
+
+    @pytest.mark.parametrize("ch", SPLITLINES_ONLY, ids=lambda ch: f"U+{ord(ch):04X}")
+    def test_comment_runs_to_the_line_end(self, ch):
+        # the comment's tail is not a second line of coefficients
+        text = f"1 0 0 # a comment{ch}with more words\n0 1 0\n"
+        assert parse_arrangement(text) == parse_arrangement("1 0 0\n0 1 0\n")
+
+    @pytest.mark.parametrize("ch", SPLITLINES_ONLY, ids=lambda ch: f"U+{ord(ch):04X}")
+    def test_other_breaks_separate_tokens(self, ch):
+        assert parse_arrangement(f"1{ch}0 0\n0 1{ch}0{ch}\n") == parse_arrangement("1 0 0\n0 1 0\n")
+
+    def test_errors_after_a_page_break_name_newline_counted_lines(self):
+        # grep -n counts the form feed's line once
+        with pytest.raises(MalformedLine, match="^line 4: 'zebra' is not a rational number$"):
+            parse_arrangement("1 0 0\n\f\n0 1 0\n0 0 zebra\n")
+        with pytest.raises(DuplicateLine, match="^lines 1 and 3 coincide$"):
+            parse_arrangement("1 0 0\n\f\n2 0 0\n")
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_line_ends(self, end):
+        assert parse_arrangement(TRIANGLE.replace("\n", end)) == parse_arrangement(TRIANGLE)
+        with pytest.raises(MalformedLine, match="^line 3: expected 3 coefficients, got 2$"):
+            parse_arrangement(f"1 0 0{end}{end}0 1{end}")
+        with pytest.raises(DuplicateLine, match="^lines 2 and 4 coincide$"):
+            parse_arrangement(f"# x{end}1 0 0{end}0 1 0{end}3 0 0{end}")
+        assert parse_arrangement("1 0 0\r0 1 0\r\n0 0 1\n").d == 3
+
     @pytest.mark.parametrize("text", [None, b"1 0 0\n0 1 0\n", ["1 0 0", "0 1 0"]],
                              ids=["none", "bytes", "list"])
     def test_refuses_non_str(self, text):
@@ -226,6 +268,12 @@ class TestParse:
     @given(line_texts())
     def test_matches_fraction_reference(self, text):
         assert _parse_outcome(text) == _reference_parse(text)
+
+    @given(st.one_of(st.text(st.characters(blacklist_characters=SPLITLINES_ONLY)), line_texts()))
+    def test_texts_without_other_breaks_parse_as_by_splitlines(self, text):
+        # a text that holds none of SPLITLINES_ONLY has the same lines under
+        # str.splitlines, the line model of earlier versions
+        assert _parse_outcome(text) == _reference_rows(text.splitlines())
 
     @given(st.text(alphabet=TOKEN_ALPHABET, min_size=1, max_size=10))
     @example("0/0")

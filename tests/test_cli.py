@@ -22,13 +22,14 @@ from linesurf import (
     hodge_diamond,
     local,
     local_invariants,
+    parse_arrangement,
     resolution,
     surface,
     verdict,
 )
 from linesurf.arrangement import CATALOG
 from linesurf.cli import main
-from linesurf.errors import InternalCheckError
+from linesurf.errors import InternalCheckError, MalformedLine
 from linesurf.hjcf import _run_walk
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -213,6 +214,39 @@ class TestInvariants:
         argv = [arg.format(path=path) for arg in argv]
         code, _, err = run(capsys, "invariants", *argv, "--q", "0", "--format", "json")
         assert code == 2 and flag in err
+
+
+class TestInputFileText:
+    """How ``--input`` reads a file: UTF-8 with an optional byte-order mark,
+    lines ended by \\n, \\r\\n or \\r."""
+
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path):
+        path = tmp_path / "lines.txt"
+        body = "# axes\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n".encode()
+        outs = []
+        for data in (body, b"\xef\xbb\xbf" + body):
+            path.write_bytes(data)
+            outs.append(run(capsys, "invariants", "--input", str(path), "--format", "json"))
+        assert outs[0][0] == 0 and outs[1] == outs[0]
+
+    def test_crlf_error_names_the_line_parse_arrangement_names(self, capsys, tmp_path):
+        path = tmp_path / "crlf.txt"
+        data = b"# axes\r\n1 0 0\r\n\r\n0 zebra 0\r\n0 0 1\r\n"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "invariants", "--input", str(path))
+        with pytest.raises(MalformedLine) as exc:
+            parse_arrangement(data.decode())
+        assert (code, out) == (2, "")
+        assert err == f"MalformedLine: {exc.value}\n" == \
+            "MalformedLine: line 4: 'zebra' is not a rational number\n"
+
+    def test_non_utf8_file_after_a_mark_exits_2(self, capsys, tmp_path):
+        # as a file without the mark does (TestInvariants.test_non_utf8_file)
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"\xef\xbb\xbf1 0 0\n0 \xe9 0\n0 0 1\n")
+        code, out, err = run(capsys, "invariants", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"BadParameter: --input {path} is not UTF-8 text: ")
 
 
 # the digit limit of int-to-str conversion; Python 3.10 before 3.10.7 has none
