@@ -17,8 +17,12 @@ copies; then check_negative_definite whole, on the same matrices.  The JSON
 gives each item's median and fastest pass in seconds, with its pair or
 graph count; each definite step also gives graph_p50_s, the median over
 graphs of each graph's fastest time, which tracks the benchmark's
-op_ms_p50.  The medians of two source trees compare when they run on one
-machine, one tree after the other.
+op_ms_p50.  Under "groups" the definite graphs are split in two, each with
+its count, its whole times and its steps' medians: "zero_free", whose
+matrices have no zero entry, such as the cliques of the (r, r + 1)
+blown-down stars, and which _pivots eliminates on list rows, and
+"with_zeros", every other graph, on dict rows.  The medians of two source
+trees compare when they run on one machine, one tree after the other.
 
 Example:
     python3 scripts/oracle_timing.py --passes 5
@@ -67,19 +71,17 @@ def sweep_timing(r_max: int, d_max: int, passes: int) -> dict:
 
 def definite_timing(passes: int) -> dict:
     pairs = [(r, d) for d in range(2, DEFINITE_D + 1) for r in range(2, d + 1)]
+    # each step's time per graph, one list per pass
     steps = {"build": [], "matrix": [], "check_copy": [], "pivots": [],
              "check_negative_definite": []}
-    fastest = {step: [float("inf")] * len(pairs) for step in steps}
 
     def timed(step: str, call, args: list) -> list:
-        results, best, total = [], fastest[step], 0.0
-        for k, arg in enumerate(args):
+        results, elapsed = [], []
+        for arg in args:
             start = time.perf_counter()
             results.append(call(*arg))
-            elapsed = time.perf_counter() - start
-            best[k] = min(best[k], elapsed)
-            total += elapsed
-        steps[step].append(total)
+            elapsed.append(time.perf_counter() - start)
+        steps[step].append(elapsed)
         return results
 
     for _ in range(passes):
@@ -88,10 +90,23 @@ def definite_timing(passes: int) -> dict:
         copies = timed("check_copy", _checked_rows, [(m, [0] * len(m)) for m in matrices])
         timed("pivots", _pivots, [(rows, [0] * len(rows)) for rows in copies])
         timed("check_negative_definite", check_negative_definite, [(m,) for m in matrices])
-    report = {step: {**summary(seconds), "graph_p50_s": statistics.median(fastest[step])}
-              for step, seconds in steps.items()}
-    return {"d_max": DEFINITE_D, "graphs": len(pairs), **report.pop("check_negative_definite"),
-            "steps": report}
+
+    def report(times: list[list[float]], keep: list[int]) -> dict:
+        return {**summary([sum(elapsed[k] for k in keep) for elapsed in times]),
+                "graph_p50_s": statistics.median(min(elapsed[k] for elapsed in times)
+                                                 for k in keep)}
+
+    # a matrix with no zero entry, every row holding all n columns, takes _pivots' list path
+    everything = list(range(len(pairs)))
+    zero_free = [k for k in everything if all(len(row) == len(matrices[k]) for row in matrices[k])]
+    groups = {"zero_free": zero_free, "with_zeros": [k for k in everything if k not in zero_free]}
+    whole = steps.pop("check_negative_definite")
+    return {"d_max": DEFINITE_D, "graphs": len(pairs), **report(whole, everything),
+            "steps": {step: report(times, everything) for step, times in steps.items()},
+            "groups": {name: {"graphs": len(keep), **report(whole, keep),
+                              "steps": {step: report(times, keep)["median_s"]
+                                        for step, times in steps.items()}}
+                       for name, keep in groups.items()}}
 
 
 def main() -> int:

@@ -128,11 +128,12 @@ def _resolve_input(args) -> tuple[Profile, Optional[int], dict]:
 
     q: Optional[int] = None
     if args.input is not None:
-        try:
-            text = _path("input", args.input).read_text(encoding="utf-8-sig")
+        try:  # decoded whole, so a bad byte's position counts from the file's first byte
+            text = _path("input", args.input).read_bytes().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise BadParameter(f"--input {args.input} is not UTF-8 text: {exc}") from None
-        profile = profile_of(parse_arrangement(text))
+        # one byte-order mark is dropped; parse_arrangement ends lines at \r\n and \r itself
+        profile = profile_of(parse_arrangement(text.removeprefix("\ufeff")))
         source = f"file:{args.input}"
     elif args.profile:
         if args.d is None:

@@ -26,7 +26,10 @@ signs, and the oracle in :mod:`linesurf.verify` checks the symmetry of the
 rows that ``intersection_matrix`` has just built and hands them over.
 Each row carries a positive multiplier for its off-diagonal entries, so a
 pivot with one lower neighbour, such as an arm vertex, updates that
-neighbour in O(1), and a star's centre costs O(r), not O(r^2).
+neighbour in O(1), and a star's centre costs O(r), not O(r^2).  A matrix
+with no zero entry, such as the clique K_r of the (r, r + 1) blown-down
+star, has nothing for dict rows to skip: ``_pivots`` eliminates it on list
+rows, with the same arithmetic, and hands back the same sparse rows.
 """
 
 from __future__ import annotations
@@ -293,9 +296,16 @@ def _pivots(rows: list[dict[int, int]], b: list[int]) -> tuple[list[dict[int, in
     the sparse rows, now lower triangular, and the rhs; rows[k][k] has the
     sign of the k-th pivot.  Intersection matrices lose arm tips first and
     get no fill-in.  A zero pivot, from a singular matrix or one that needs
-    a row exchange, raises SingularMatrix.
+    a row exchange, raises SingularMatrix.  A matrix whose every row holds
+    all n columns, with no zero entry, goes to ``_dense_pivots`` instead:
+    the clique of a blown-down star with one-vertex arms, and a 1x1 matrix.
+    The test reads only the input and needs no size constant, and on any
+    other graph ``len(rows[-1]) != n`` ends it in O(1): the last row is an
+    arm tip's, with two entries.
     """
     n = len(rows)
+    if n and len(rows[-1]) == n and all(map(n.__eq__, map(len, rows))):
+        return _dense_pivots(rows, b)
     mult = [1] * n  # row i's off-diagonal entries stand for mult[i] times their value
     for k in range(n - 1, -1, -1):
         pivot_row = rows[k]
@@ -340,6 +350,44 @@ def _pivots(rows: list[dict[int, int]], b: list[int]) -> tuple[list[dict[int, in
             b[i] = bi // g
             if 0 in row.values():
                 rows[i] = {j: v for j, v in row.items() if v}
+    return rows, b
+
+
+def _dense_pivots(rows: list[dict[int, int]],
+                  b: list[int]) -> tuple[list[dict[int, int]], list[int]]:
+    """``_pivots`` on rows that each hold all n columns, with the same
+    arithmetic on lists: the rows become lists once, and pivot p = a_kk turns
+    each row i < k with a_ik != 0 into |p| row_i - sign(p) a_ik row_k over
+    its columns below k and divides it and rhs_i by their gcd, so no dict
+    operation runs in the O(n^3) loop.  Each pivot row goes back into
+    ``rows`` as the sparse lower-triangular dict that ``_pivots`` returns,
+    its entries below k with zeros dropped, then k: p.  An entry that
+    cancels stays in its list as a 0, where the dict path drops it and may
+    take a leaf pivot, so the two paths' rows can then differ by a positive
+    factor; the solution, the pivots' signs and the zero pivot that raises
+    SingularMatrix are the same."""
+    n = len(rows)
+    dense = [list(map(row.__getitem__, range(n))) for row in rows]
+    for k in range(n - 1, -1, -1):
+        pivot_row = dense[k]
+        p = pivot_row[k]
+        if p == 0:
+            raise SingularMatrix(f"zero pivot at index {k}")
+        scale, bk, head = abs(p), b[k], pivot_row[:k]
+        for i in range(k):
+            row = dense[i]
+            factor = row[k] if p > 0 else -row[k]
+            if not factor:
+                continue
+            row = [scale * x - factor * y for x, y in zip(row, head)]
+            bi = scale * b[i] - factor * bk
+            g = gcd(bi, *row) or 1  # 0 when the row cancelled to zeros
+            if g > 1:
+                row = [x // g for x in row]
+            dense[i], b[i] = row, bi // g
+        sparse = dict(enumerate(head)) if 0 not in head else {j: v for j, v in enumerate(head) if v}
+        sparse[k] = p
+        rows[k] = sparse
     return rows, b
 
 

@@ -248,6 +248,21 @@ class TestInputFileText:
         assert (code, out) == (2, "")
         assert err.startswith(f"BadParameter: --input {path} is not UTF-8 text: ")
 
+    @pytest.mark.parametrize("data, offset", [
+        (b"\xef\xbb\xbf1 0 0\xff", 8), (b"1 0 0\xff", 5), (b"1 0 0\n0 \xe9 0\n", 8),
+    ])
+    def test_decoding_error_counts_from_the_first_byte(self, capsys, tmp_path, data, offset):
+        # the mark's three bytes count: the offset is the bad byte's in the file
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "invariants", "--input", str(path))
+        with pytest.raises(UnicodeDecodeError) as exc:
+            data.decode("utf-8")
+        assert exc.value.start == offset
+        assert (code, out, err) == (2, "", f"BadParameter: --input {path} is not UTF-8 text: "
+                                           f"{exc.value}\n")
+        assert f"in position {offset}:" in err
+
 
 # the digit limit of int-to-str conversion; Python 3.10 before 3.10.7 has none
 digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)

@@ -334,6 +334,26 @@ def hub_trees(draw):
     return m, rhs
 
 
+@st.composite
+def zero_free_systems(draw):
+    """Symmetric integer systems with n <= 8 and no zero entry, which
+    ``_pivots`` eliminates on list rows: every entry is drawn nonzero, from
+    a random range, and the diagonal is shifted down by a random amount that
+    leaves it nonzero, so that definite, indefinite and singular matrices
+    all occur."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    size = draw(st.integers(min_value=1, max_value=4))
+    entry = st.integers(min_value=-size, max_value=size).filter(bool)
+    shift = draw(st.integers(min_value=0, max_value=size * n))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            m[i][j] = m[j][i] = draw(entry)
+        m[i][i] = draw(entry.filter(lambda v: v != shift)) - shift
+    rhs = draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n))
+    return m, rhs
+
+
 def assert_matches_reference(matrix, rhs):
     """eliminate, solve_exact and check_negative_definite on the sparse rows
     of a dense symmetric system agree with the Fraction references: each row
@@ -370,6 +390,89 @@ class TestAgainstFractionReference:
     @given(hub_trees())
     def test_hub_trees(self, system):
         assert_matches_reference(*system)
+
+    @given(zero_free_systems())
+    def test_zero_free_systems(self, system):
+        assert all(map(all, system[0]))
+        assert_matches_reference(*system)
+
+    @pytest.mark.parametrize("matrix, rhs, index", [
+        ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], [1, 1, 1], 1),   # row 1 and its rhs cancel to zeros
+        ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], [1, 2, 3], 1),   # row 1 cancels, its rhs does not
+        ([[3, 2, 1], [2, 1, 1], [1, 1, 1]], [0, 0, 0], 1),   # only row 1's diagonal cancels
+        # the trailing 2x2 block cancels
+        ([[-5, 1, 2, 2], [1, -3, 1, 1], [2, 1, -2, 2], [2, 1, 2, -2]], [1, 0, 0, 1], 2),
+    ])
+    def test_zero_free_schur_row_cancels(self, monkeypatch, matrix, rhs, index):
+        # an update on the list path cancels a later pivot, or its whole row;
+        # assert_matches_reference requires the raise at the reference's index
+        dense = counting_dense_pivots(monkeypatch)
+        with pytest.raises(SingularMatrix, match=f"^zero pivot at index {index}$"):
+            eliminate([dict(enumerate(row)) for row in matrix], rhs)
+        assert dense == [len(matrix)]
+        assert_matches_reference(matrix, rhs)
+
+
+def counting_dense_pivots(monkeypatch) -> list:
+    """Patch ``resolution._dense_pivots``, the list path of ``_pivots``, to
+    record the size of each matrix it is given; return the record."""
+    calls, dense_pivots = [], resolution._dense_pivots
+
+    def counting(rows, b):
+        calls.append(len(rows))
+        return dense_pivots(rows, b)
+
+    monkeypatch.setattr(resolution, "_dense_pivots", counting)
+    return calls
+
+
+class TestListPath:
+    """``_pivots`` eliminates on list rows exactly when every row holds all
+    n columns after ``_checked_rows``: the cliques K_r of the (r, r + 1)
+    blown-down stars and the 1x1 matrices of r = d."""
+
+    @pytest.mark.parametrize("matrix", [
+        [{0: -3, 1: 1}, {0: 1, 1: -3, 2: 1}, {1: 1, 2: -3}],                # one off-diagonal zero
+        [{0: -3, 1: 1, 2: 0}, {0: 1, 1: -3, 2: 1}, {0: 0, 1: 1, 2: -3}],    # the same, stored
+        [{0: -3, 1: 1, 2: 1}, {0: 1, 1: 0, 2: 1}, {0: 1, 1: 1, 2: -3}],     # a stored zero diagonal
+    ])
+    def test_a_zero_entry_stays_on_the_dict_path(self, monkeypatch, matrix):
+        dense = counting_dense_pivots(monkeypatch)
+        before = deepcopy(matrix)
+        full = [[row.get(j, 0) for j in range(3)] for row in matrix]
+        assert solve_exact(matrix, [1, 2, 3]) == reference_solve(reference_rows(full, [1, 2, 3]))
+        assert check_negative_definite(matrix) == reference_negative_definite(full)
+        assert dense == [] and matrix == before
+
+    def test_zero_free_matrix_takes_the_list_path(self, monkeypatch):
+        dense = counting_dense_pivots(monkeypatch)
+        matrix = [{0: -3, 1: 1, 2: 1}, {0: 1, 1: -3, 2: 1}, {0: 1, 1: 1, 2: -3}]
+        assert check_negative_definite(matrix)
+        # M = J - 4I: the entries sum to s = -6, and x_i = (s - b_i) / 4
+        assert solve_exact(matrix, [1, 2, 3]) == [Fraction(-7, 4), -2, Fraction(-9, 4)]
+        assert dense == [3, 3]
+
+    def test_a_cancelled_entry_is_not_stored(self, monkeypatch):
+        # the pivot 2 turns a_10 into 2 * 1 - 1 * 2 = 0 and a_11 into -7, so row 1,
+        # divided by its gcd with a zero rhs, comes back as {1: -1}
+        dense = counting_dense_pivots(monkeypatch)
+        matrix = [[-5, 1, 2], [1, -3, 1], [2, 1, 2]]
+        rows, _ = eliminate([dict(enumerate(row)) for row in matrix], [0, 0, 0])
+        assert rows[1] == {1: -1} and dense == [3]
+        assert_matches_reference(matrix, [1, -1, 2])
+
+    def test_graphs_that_take_the_list_path(self, monkeypatch):
+        # through the public check and the oracle, which hands _pivots the graph's rows:
+        # every graph with d <= 30, then the two zero-free ones for each d <= 61
+        dense = counting_dense_pivots(monkeypatch)
+        for d in range(2, 62):
+            for r in range(2, d + 1) if d <= 30 else (d - 1, d):
+                g = build_resolution_graph(r, d)
+                check_negative_definite(intersection_matrix(g))
+                coefficients_from_matrix(g)
+                # the clique K_r of the (r, r + 1) graph, or the lone centre of r = d
+                assert dense == ([] if d - r > 1 else [1 if r == d else r] * 2), (r, d)
+                dense.clear()
 
 
 class TestLeafPivots:
