@@ -20,18 +20,23 @@ graphs of each graph's fastest time, which tracks the benchmark's
 op_ms_p50.  Under "groups" the definite graphs are split in two, each with
 its count, its whole times and its steps' medians: "zero_free", whose
 matrices have no zero entry, such as the cliques of the (r, r + 1)
-blown-down stars, and which _pivots eliminates on list rows, and
-"with_zeros", every other graph, on dict rows.  The medians of two source
-trees compare when they run on one machine, one tree after the other.
+blown-down stars, and which _pivots eliminates on the lists of their
+lower triangles, and "with_zeros", every other graph, on dict rows.
+Before each timed step the script runs a full garbage collection and keeps
+the collector off until the step ends, so that no step pays for another's
+garbage; the JSON says so under "gc".  The medians of two source trees
+compare when they run on one machine, one tree after the other.
 
 Example:
     python3 scripts/oracle_timing.py --passes 5
 """
 
 import argparse
+import gc
 import json
 import statistics
 import time
+from contextlib import contextmanager
 
 from linesurf import (build_resolution_graph, check_negative_definite, intersection_matrix,
                       sweep_verify)
@@ -46,6 +51,18 @@ def summary(seconds: list[float]) -> dict:
     return {"median_s": statistics.median(seconds), "min_s": min(seconds)}
 
 
+@contextmanager
+def collector_off():
+    """Collect garbage, then keep the collector off for one timed step; it
+    is turned back on afterwards, also when the step raises."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 def sweep_timing(r_max: int, d_max: int, passes: int) -> dict:
     systems = []
     for r in range(2, r_max + 1):
@@ -54,17 +71,20 @@ def sweep_timing(r_max: int, d_max: int, passes: int) -> dict:
             systems.append((intersection_matrix(graph), adjunction_rhs(graph)))
     sweep, pivots, forward = [], [], []
     for _ in range(passes):
-        start = time.perf_counter()
-        sweep_verify(r_max, d_max)
-        sweep.append(time.perf_counter() - start)
+        with collector_off():
+            start = time.perf_counter()
+            sweep_verify(r_max, d_max)
+            sweep.append(time.perf_counter() - start)
         copies = [(list(map(dict, rows)), list(b)) for rows, b in systems]
-        start = time.perf_counter()
-        eliminated = [_pivots(rows, b) for rows, b in copies]
-        pivots.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        for rows, b in eliminated:
-            _forward(rows, b)
-        forward.append(time.perf_counter() - start)
+        with collector_off():
+            start = time.perf_counter()
+            eliminated = [_pivots(rows, b) for rows, b in copies]
+            pivots.append(time.perf_counter() - start)
+        with collector_off():
+            start = time.perf_counter()
+            for rows, b in eliminated:
+                _forward(rows, b)
+            forward.append(time.perf_counter() - start)
     return {"pairs": len(systems), "sweep": summary(sweep), "pivots": summary(pivots),
             "forward": summary(forward)}
 
@@ -77,10 +97,11 @@ def definite_timing(passes: int) -> dict:
 
     def timed(step: str, call, args: list) -> list:
         results, elapsed = [], []
-        for arg in args:
-            start = time.perf_counter()
-            results.append(call(*arg))
-            elapsed.append(time.perf_counter() - start)
+        with collector_off():
+            for arg in args:
+                start = time.perf_counter()
+                results.append(call(*arg))
+                elapsed.append(time.perf_counter() - start)
         steps[step].append(elapsed)
         return results
 
@@ -116,7 +137,8 @@ def main() -> int:
     if args.passes < 1:
         parser.error("--passes must be >= 1")
 
-    report = {"passes": args.passes}
+    report = {"passes": args.passes,
+              "gc": "collected before each timed step and disabled during it"}
     report.update((f"sweep_verify({r}, {d})", sweep_timing(r, d, args.passes))
                   for r, d in SWEEPS)
     report["check_negative_definite"] = definite_timing(args.passes)

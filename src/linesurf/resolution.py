@@ -28,8 +28,9 @@ Each row carries a positive multiplier for its off-diagonal entries, so a
 pivot with one lower neighbour, such as an arm vertex, updates that
 neighbour in O(1), and a star's centre costs O(r), not O(r^2).  A matrix
 with no zero entry, such as the clique K_r of the (r, r + 1) blown-down
-star, has nothing for dict rows to skip: ``_pivots`` eliminates it on list
-rows, with the same arithmetic, and hands back the same sparse rows.
+star, has nothing for dict rows to skip: ``_pivots`` eliminates it on
+lists of its lower triangle, with one content divided out per pivot, and
+hands back the same sparse rows.
 """
 
 from __future__ import annotations
@@ -297,11 +298,11 @@ def _pivots(rows: list[dict[int, int]], b: list[int]) -> tuple[list[dict[int, in
     sign of the k-th pivot.  Intersection matrices lose arm tips first and
     get no fill-in.  A zero pivot, from a singular matrix or one that needs
     a row exchange, raises SingularMatrix.  A matrix whose every row holds
-    all n columns, with no zero entry, goes to ``_dense_pivots`` instead:
-    the clique of a blown-down star with one-vertex arms, and a 1x1 matrix.
-    The test reads only the input and needs no size constant, and on any
-    other graph ``len(rows[-1]) != n`` ends it in O(1): the last row is an
-    arm tip's, with two entries.
+    all n columns, with no zero entry, goes to ``_dense_pivots``, on its
+    lower triangle with one content per pivot: the clique of a blown-down
+    star with one-vertex arms, and a 1x1 matrix.  The test reads only the
+    input and needs no size constant, and on any other graph
+    ``len(rows[-1]) != n`` ends it in O(1): the last row is an arm tip's.
     """
     n = len(rows)
     if n and len(rows[-1]) == n and all(map(n.__eq__, map(len, rows))):
@@ -355,39 +356,38 @@ def _pivots(rows: list[dict[int, int]], b: list[int]) -> tuple[list[dict[int, in
 
 def _dense_pivots(rows: list[dict[int, int]],
                   b: list[int]) -> tuple[list[dict[int, int]], list[int]]:
-    """``_pivots`` on rows that each hold all n columns, with the same
-    arithmetic on lists: the rows become lists once, and pivot p = a_kk turns
-    each row i < k with a_ik != 0 into |p| row_i - sign(p) a_ik row_k over
-    its columns below k and divides it and rhs_i by their gcd, so no dict
-    operation runs in the O(n^3) loop.  Each pivot row goes back into
-    ``rows`` as the sparse lower-triangular dict that ``_pivots`` returns,
-    its entries below k with zeros dropped, then k: p.  An entry that
-    cancels stays in its list as a 0, where the dict path drops it and may
-    take a leaf pivot, so the two paths' rows can then differ by a positive
-    factor; the solution, the pivots' signs and the zero pivot that raises
-    SingularMatrix are the same."""
-    n = len(rows)
-    dense = [list(map(row.__getitem__, range(n))) for row in rows]
-    for k in range(n - 1, -1, -1):
-        pivot_row = dense[k]
-        p = pivot_row[k]
+    """``_pivots`` on rows that each hold all n columns, on lists of their
+    lower triangles: Schur complements of a symmetric matrix stay symmetric
+    (Golub & Van Loan, 4.1), so pivot p = a_kk turns each a_ij, j <= i < k,
+    into |p| a_ij - sign(p) a_ki a_kj from the pivot row, with no dict
+    operation in the O(n^3) loop.  A per-row gcd would scale row i but not
+    column i, so one content g of the block and rhs that a pivot leaves is
+    divided out inside the next update, as (|p| x - sign(p) a_ki y) // g^2,
+    and from the pivot row, p and rhs_k before the row goes back into
+    ``rows`` as ``_pivots``' sparse dict, zeros dropped.  A cancelled entry
+    stays in its list as a 0, where the dict path drops it and may take a
+    leaf pivot, so the paths' rows can differ by a positive factor; the
+    solution, the pivot signs and the SingularMatrix index are the same."""
+    lower = [list(map(row.__getitem__, range(i + 1))) for i, row in enumerate(rows)]
+    g = 1  # the content of the block and rhs that the last pivot left, not yet divided out
+    for k in range(len(rows) - 1, -1, -1):
+        head = lower.pop()
+        p = head.pop()
         if p == 0:
             raise SingularMatrix(f"zero pivot at index {k}")
-        scale, bk, head = abs(p), b[k], pivot_row[:k]
-        for i in range(k):
-            row = dense[i]
-            factor = row[k] if p > 0 else -row[k]
-            if not factor:
-                continue
-            row = [scale * x - factor * y for x, y in zip(row, head)]
-            bi = scale * b[i] - factor * bk
-            g = gcd(bi, *row) or 1  # 0 when the row cancelled to zeros
-            if g > 1:
-                row = [x // g for x in row]
-            dense[i], b[i] = row, bi // g
+        scale, bk, square, content = abs(p), b[k], g * g, 0
+        for i, row in enumerate(lower):
+            factor = head[i] if p > 0 else -head[i]
+            row = lower[i] = [(scale * x - factor * y) // square for x, y in zip(row, head)]
+            bi = b[i] = (scale * b[i] - factor * bk) // square
+            if content != 1:
+                content = gcd(content, bi, *row)
+        if g > 1:
+            head, p, b[k] = [y // g for y in head], p // g, bk // g
         sparse = dict(enumerate(head)) if 0 not in head else {j: v for j, v in enumerate(head) if v}
         sparse[k] = p
         rows[k] = sparse
+        g = content or 1  # 0 when the block and rhs cancelled to zeros
     return rows, b
 
 

@@ -103,6 +103,8 @@ def test_oracle_timing():
     assert (done.returncode, done.stderr) == (0, ""), done.stderr
     report = json.loads(done.stdout)
     assert report["passes"] == 1
+    # no step pays for a collection that another step's garbage triggers
+    assert report["gc"] == "collected before each timed step and disabled during it"
     # the oracle-sweep operation and the reference rectangle: one system per pair
     for key, r_max, d_max in (("sweep_verify(8, 24)", 8, 24), ("sweep_verify(10, 60)", 10, 60)):
         timing = report[key]

@@ -335,13 +335,13 @@ def hub_trees(draw):
 
 
 @st.composite
-def zero_free_systems(draw):
-    """Symmetric integer systems with n <= 8 and no zero entry, which
-    ``_pivots`` eliminates on list rows: every entry is drawn nonzero, from
-    a random range, and the diagonal is shifted down by a random amount that
-    leaves it nonzero, so that definite, indefinite and singular matrices
-    all occur."""
-    n = draw(st.integers(min_value=1, max_value=8))
+def zero_free_systems(draw, max_n=8):
+    """Symmetric integer systems with n <= max_n and no zero entry, which
+    ``_pivots`` eliminates on the lists of their lower triangles: every
+    entry is drawn nonzero, from a random range, and the diagonal is shifted
+    down by a random amount that leaves it nonzero, so that definite,
+    indefinite and singular matrices all occur."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
     size = draw(st.integers(min_value=1, max_value=4))
     entry = st.integers(min_value=-size, max_value=size).filter(bool)
     shift = draw(st.integers(min_value=0, max_value=size * n))
@@ -352,6 +352,17 @@ def zero_free_systems(draw):
         m[i][i] = draw(entry.filter(lambda v: v != shift)) - shift
     rhs = draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n))
     return m, rhs
+
+
+@st.composite
+def scaled_zero_free_systems(draw):
+    """``zero_free_systems`` with n <= 12 whose matrix entries share a common
+    factor of up to 2^128, as does the rhs half of the time, so that the
+    content each pivot divides out is a multi-digit int."""
+    matrix, rhs = draw(zero_free_systems(max_n=12))
+    factor = draw(st.integers(min_value=2, max_value=2 ** 128))
+    rhs_factor = draw(st.sampled_from([1, factor]))
+    return [[factor * v for v in row] for row in matrix], [rhs_factor * v for v in rhs]
 
 
 def assert_matches_reference(matrix, rhs):
@@ -393,6 +404,12 @@ class TestAgainstFractionReference:
 
     @given(zero_free_systems())
     def test_zero_free_systems(self, system):
+        assert all(map(all, system[0]))
+        assert_matches_reference(*system)
+
+    @settings(max_examples=60)
+    @given(scaled_zero_free_systems())
+    def test_zero_free_systems_with_a_common_factor(self, system):
         assert all(map(all, system[0]))
         assert_matches_reference(*system)
 
@@ -453,8 +470,9 @@ class TestListPath:
         assert dense == [3, 3]
 
     def test_a_cancelled_entry_is_not_stored(self, monkeypatch):
-        # the pivot 2 turns a_10 into 2 * 1 - 1 * 2 = 0 and a_11 into -7, so row 1,
-        # divided by its gcd with a zero rhs, comes back as {1: -1}
+        # the pivot 2 turns a_10 into 2 * 1 - 1 * 2 = 0, a_11 into -7 and a_00 into
+        # -14, so row 1, divided by the block's content 7 with a zero rhs, comes
+        # back as {1: -1}
         dense = counting_dense_pivots(monkeypatch)
         matrix = [[-5, 1, 2], [1, -3, 1], [2, 1, 2]]
         rows, _ = eliminate([dict(enumerate(row)) for row in matrix], [0, 0, 0])
@@ -473,6 +491,23 @@ class TestListPath:
                 # the clique K_r of the (r, r + 1) graph, or the lone centre of r = d
                 assert dense == ([] if d - r > 1 else [1 if r == d else r] * 2), (r, d)
                 dense.clear()
+
+    def test_zero_free_graphs_match_the_closed_forms(self):
+        # every zero-free graph of the wide-clique sweep's range, r <= 60 and
+        # d <= 61: the lone centre of (r, r) and the clique K_r of (r, r + 1)
+        for r in range(2, 61):
+            for d in (r, r + 1):
+                g = build_resolution_graph(r, d)
+                assert coefficients_from_matrix(g) == expected_vertex_coefficients(r, d), (r, d)
+                closed = local_invariants(r, d)
+                assert local_invariants_from_graph(g) == (closed.dci, closed.dcii), (r, d)
+            # the (r, r + 1) matrix, K_r = -(r + 1) I + J: each pivot's content
+            # keeps its eliminated rows and rhs within r
+            matrix = intersection_matrix(g)
+            for rhs in ([0] * r, adjunction_rhs(g)):
+                rows, b = eliminate(matrix, rhs)
+                entries = [*b, *chain.from_iterable(map(dict.values, rows))]
+                assert max(map(abs, entries)) <= r, (r, rhs)
 
 
 class TestLeafPivots:
