@@ -24,8 +24,11 @@ blown-down stars, and which _pivots eliminates on the lists of their
 lower triangles, and "with_zeros", every other graph, on dict rows.
 Before each timed step the script runs a full garbage collection and keeps
 the collector off until the step ends, so that no step pays for another's
-garbage; the JSON says so under "gc".  The medians of two source trees
-compare when they run on one machine, one tree after the other.
+garbage; the JSON says so under "gc".  The rectangles and the d bound are
+the benchmark's own, read from perfbench/workloads.py.  Only ratios from
+runs of two source trees interleaved in one process compare them: runs of
+one tree after the other once read unchanged code x1.33 apart, as the
+machine's speed moved.
 
 Example:
     python3 scripts/oracle_timing.py --passes 5
@@ -35,16 +38,20 @@ import argparse
 import gc
 import json
 import statistics
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 from linesurf import (build_resolution_graph, check_negative_definite, intersection_matrix,
                       sweep_verify)
 from linesurf.resolution import _checked_rows, _pivots
 from linesurf.verify import _forward, adjunction_rhs
 
-SWEEPS = ((8, 24), (10, 60))
-DEFINITE_D = 40
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import DEFINITE_D, REFERENCE_SWEEP, SWEEP_D, SWEEP_R
+
+SWEEPS = ((SWEEP_R, SWEEP_D), REFERENCE_SWEEP)
 
 
 def summary(seconds: list[float]) -> dict:

@@ -24,8 +24,9 @@ seconds, the median parse_arrangement pass, and the profile found.  Under
 "small" it gives the 40 small texts that follow the large file in the same
 seeded period of the arrangement-files workload: their count, their total
 line count, and the median and the fastest of the passes that parse all 40.
-The medians of two source trees compare when they run on one machine, one
-tree after the other.
+Only ratios from runs of two source trees interleaved in one process
+compare them: runs of one tree after the other once read unchanged code
+x1.33 apart, as the machine's speed moved.
 
 Example:
     python3 scripts/profile_of_timing.py --passes 5

@@ -43,6 +43,7 @@ from .errors import (
     UnbalancedProfile,
     UnknownCatalogName,
     ZeroForm,
+    _need,
 )
 from .record import Record, _repr, _str, set_field
 
@@ -77,6 +78,8 @@ class Line(Record):
     @classmethod
     def of(cls, a, b, c) -> "Line":
         try:
+            if bool in map(type, (a, b, c)):  # Fraction would read it as 0 or 1
+                raise TypeError
             if any(map(_exponent_exceeds, (a, b, c))):
                 raise BadParameter(f"a coefficient's decimal exponent exceeds {MAX_EXPONENT} "
                                    f"in magnitude, got {_repr(a)}, {_repr(b)}, {_repr(c)}")
@@ -289,8 +292,7 @@ def profile_of(arr: Arrangement) -> Profile:
     and the first nonzero entry positive: u*N, about six times M's length,
     then costs more to divide than the gcd does.
     """
-    if type(arr) is not Arrangement:
-        raise BadParameter(f"profile_of needs an Arrangement, got {type(arr).__name__}")
+    _need(arr, Arrangement, "profile_of")
     groups = Counter(_meeting_keys(list(map(Line._values, arr.lines))))
     n = Counter(groups.values())
     return validate_profile(arr.d, {r: n[r - 1] - n[r] for r in range(2, max(n) + 2)
@@ -345,8 +347,7 @@ def validate_profile(d: int, t: dict) -> Profile:
 def is_pencil(p: Profile) -> bool:
     """True iff all lines pass through one point, i.e. t_d = 1: the balance
     allows at most one d-fold point, so t's last multiplicity decides."""
-    if type(p) is not Profile:
-        raise BadParameter(f"is_pencil needs a Profile, got {type(p).__name__}")
+    _need(p, Profile, "is_pencil")
     return p.t[-1][0] == p.d
 
 

@@ -46,6 +46,13 @@ class BadParameter(LineSurfError):
     """A parameter is missing, extraneous, or out of range."""
 
 
+def _need(value, kind: type, caller: str) -> None:
+    """The one refusal of a wrong argument kind: any ``value`` but exactly a ``kind``."""
+    if type(value) is not kind:
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise BadParameter(f"{caller} needs {article} {kind.__name__}, got {type(value).__name__}")
+
+
 # --- continued fraction errors ---
 
 class NotCoprime(LineSurfError):

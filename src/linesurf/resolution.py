@@ -15,22 +15,22 @@ checked plain tuple behind the public ``WeightData`` NamedTuple.
 
 Vertex order is fixed everywhere: central first (when present), then arm 1
 root to tip, arm 2, and so on; only DOT names the nodes: ``c`` and
-``a<arm>_<pos>``.  A matrix has one form everywhere: a list of sparse
-integer rows {column: nonzero entry}.  ``intersection_matrix`` builds these
-rows from the weights and edges in O(vertices + edges); it and ``to_dot``
-refuse any argument but a ``ResolutionGraph`` with BadParameter.  ``eliminate``
-checks and copies such rows, in one loop over their entries, for the
-package's one exact elimination, its core ``_pivots``, which trusts its
-caller and updates them in place: the definiteness test reads its pivot
-signs, and the oracle in :mod:`linesurf.verify` checks the symmetry of the
-rows that ``intersection_matrix`` has just built and hands them over.
-Each row carries a positive multiplier for its off-diagonal entries, so a
-pivot with one lower neighbour, such as an arm vertex, updates that
-neighbour in O(1), and a star's centre costs O(r), not O(r^2).  A matrix
-with no zero entry, such as the clique K_r of the (r, r + 1) blown-down
-star, has nothing for dict rows to skip: ``_pivots`` eliminates it on
-lists of its lower triangle, with one content divided out per pivot, and
-hands back the same sparse rows.
+``a<arm>_<pos>``.  A matrix has one form everywhere: a list of sparse integer
+rows {column: nonzero entry}.  ``intersection_matrix`` builds these rows from
+the weights and edges in O(vertices + edges); it and ``to_dot`` refuse any
+argument but a ``ResolutionGraph`` through ``errors._need``, the package's
+one refusal of a wrong argument kind.  ``eliminate`` checks and copies such
+rows, in one loop over their entries, for the package's one exact
+elimination, its core ``_pivots``, which trusts its caller and updates them
+in place: the definiteness test reads its pivot signs, and the oracle in
+:mod:`linesurf.verify` checks the symmetry of the rows that
+``intersection_matrix`` has just built and hands them over.  Each row carries
+a positive multiplier for its off-diagonal entries, so a pivot with one
+lower neighbour, such as an arm vertex, updates that neighbour in O(1), and
+a star's centre costs O(r), not O(r^2).  A matrix with no zero entry, such as
+the clique K_r of the (r, r + 1) blown-down star, has nothing for dict rows
+to skip: ``_pivots`` eliminates it on lists of its lower triangle, with one
+content divided out per pivot, and hands back the same sparse rows.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from itertools import chain, combinations, repeat
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .errors import BadMultiplicity, BadParameter, InternalCheckError, NotSymmetric, SingularMatrix
+from .errors import (BadMultiplicity, BadParameter, InternalCheckError, NotSymmetric,
+                     SingularMatrix, _need)
 from .hjcf import _neg_inverse, _run_walk, hj_expand
 from .record import Record, _repr, _str, set_field
 
@@ -206,9 +207,7 @@ def graph_size(r: int, d: int) -> int:
 def intersection_matrix(graph: ResolutionGraph) -> list[dict[int, int]]:
     """Symmetric sparse rows {column: entry}: diagonal -weight, 1 on adjacent
     vertex pairs, no stored zeros off the diagonal."""
-    if type(graph) is not ResolutionGraph:
-        raise BadParameter("intersection_matrix needs a ResolutionGraph, "
-                           f"got {type(graph).__name__}")
+    _need(graph, ResolutionGraph, "intersection_matrix")
     rows = [{i: -weight} for i, weight in enumerate(graph.weights())]
     for i, j in graph.edge_list():
         rows[i][j] = rows[j][i] = 1
@@ -409,8 +408,7 @@ def check_negative_definite(m) -> bool:
 
 def to_dot(graph: ResolutionGraph) -> str:
     """Deterministic DOT rendering of the dual graph."""
-    if type(graph) is not ResolutionGraph:
-        raise BadParameter(f"to_dot needs a ResolutionGraph, got {type(graph).__name__}")
+    _need(graph, ResolutionGraph, "to_dot")
     out = [f'graph "resolution_r{_str(graph.r)}_d{_str(graph.d)}" {{']
     names = []
     for name, genus, weight in graph.iter_vertices():

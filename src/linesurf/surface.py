@@ -13,8 +13,8 @@ criterion c1^2 > 9 (it holds for every d >= 7 with only nodes and triple
 points, see ``verdict``), and the Hodge numbers from Noether's formula once q
 is supplied.  ``verdict`` and ``hodge_diamond`` compute (c1^2, c2) themselves;
 their cores ``_verdict`` and ``_hodge_diamond`` take the pair that a caller
-already holds, as the CLI report does from ``global_invariants``.  Each
-public function refuses any argument but a ``Profile`` with BadParameter.
+already holds, as the CLI report does from ``global_invariants``.  Each public
+function refuses any argument but a ``Profile`` through ``errors._need``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .arrangement import Profile, is_pencil
-from .errors import BadParameter, InternalCheckError, NegativeHodgeNumber, ZeroSecondChern
+from .errors import BadParameter, InternalCheckError, NegativeHodgeNumber, ZeroSecondChern, _need
 from .local import local_invariants
 from .record import Record, _repr, set_field
 
@@ -72,8 +72,7 @@ class HodgeDiamond(NamedTuple):
 
 def base_invariants(p: Profile) -> tuple[int, int, int]:
     """(K^2, chi, MY) of the singular compactification."""
-    if type(p) is not Profile:
-        raise BadParameter(f"base_invariants needs a Profile, got {type(p).__name__}")
+    _need(p, Profile, "base_invariants")
     d = p.d
     squares = cross = 0  # sum t_r (r-1)^2 and sum t_r (r-1)(3-r), in one pass
     for r, c in p.t:
@@ -89,8 +88,7 @@ def base_invariants(p: Profile) -> tuple[int, int, int]:
 
 def chern_numbers(p: Profile) -> tuple[int, int]:
     """(c1^2, c2) of the minimal resolution."""
-    if type(p) is not Profile:
-        raise BadParameter(f"chern_numbers needs a Profile, got {type(p).__name__}")
+    _need(p, Profile, "chern_numbers")
     c1sq, c2, _ = base_invariants(p)
     d = p.d
     # one local_invariants call per multiplicity for each number: the benchmark's
@@ -105,8 +103,7 @@ def chern_numbers(p: Profile) -> tuple[int, int]:
 def my_tilde(p: Profile) -> int:
     """Miyaoka-Yau number of the resolution, as the sum of per-point terms;
     ``global_invariants`` checks it against 3 c2 - c1^2."""
-    if type(p) is not Profile:
-        raise BadParameter(f"my_tilde needs a Profile, got {type(p).__name__}")
+    _need(p, Profile, "my_tilde")
     d = p.d
     total = 0
     for r, c in p.t:
@@ -115,8 +112,7 @@ def my_tilde(p: Profile) -> int:
 
 
 def global_invariants(p: Profile) -> GlobalInvariants:
-    if type(p) is not Profile:
-        raise BadParameter(f"global_invariants needs a Profile, got {type(p).__name__}")
+    _need(p, Profile, "global_invariants")
     k2_bar, chi_bar, my_bar = base_invariants(p)
     c1sq, c2 = chern_numbers(p)
     my = my_tilde(p)
@@ -135,8 +131,7 @@ def verdict(p: Profile) -> Verdict:
     so -d; for d = 3k+2, lambda = k+1, the term sum is 2k+3 and b = 2, so
     -(d-2).  With t_3 <= d(d-1)/6, c1^2 >= d[(d-4)^2 - d(d-1)/6] >= 14.
     """
-    if type(p) is not Profile:
-        raise BadParameter(f"verdict needs a Profile, got {type(p).__name__}")
+    _need(p, Profile, "verdict")
     return _verdict(p, *chern_numbers(p))
 
 
@@ -161,8 +156,7 @@ def _verdict(p: Profile, c1sq: int, c2: int) -> Verdict:
 
 def hodge_diamond(p: Profile, q: int) -> HodgeDiamond:
     """Hodge numbers from (c1^2, c2, q) via Noether's formula."""
-    if type(p) is not Profile:
-        raise BadParameter(f"hodge_diamond needs a Profile, got {type(p).__name__}")
+    _need(p, Profile, "hodge_diamond")
     return _hodge_diamond(p, q, *chern_numbers(p))
 
 
@@ -190,8 +184,7 @@ def _hodge_diamond(p: Profile, q: int, c1sq: int, c2: int) -> HodgeDiamond:
 def chern_ratio_analysis(p: Profile) -> dict:
     """Exact ratio c1^2/c2, with the nodes-and-triples decomposition when
     only t_2, t_3 are nonzero: ratio = (1/3)(1 + 2 * numer / denom)."""
-    if type(p) is not Profile:
-        raise BadParameter(f"chern_ratio_analysis needs a Profile, got {type(p).__name__}")
+    _need(p, Profile, "chern_ratio_analysis")
     c1sq, c2 = chern_numbers(p)
     if c2 == 0:
         raise ZeroSecondChern("c2 = 0, the Chern ratio is undefined")

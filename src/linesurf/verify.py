@@ -2,27 +2,26 @@
 
 Nothing here reuses the closed forms.  The coefficient vector comes from
 solving M a = k exactly, through the elimination the definiteness test also
-uses, where k_v = 2 g(v) - 2 + w(v) is the adjunction right-hand side; DCI
-is then the quadratic form a^T M a and DCII is the Euler characteristic of
-the exceptional configuration minus one.  Each public function that takes a
-graph refuses any argument but a ``ResolutionGraph`` with BadParameter, and
-trusts the graph, which checked itself when it was built.
-``coefficients_from_matrix`` checks the symmetry of the fresh rows of
-``intersection_matrix``, the one check they need, and eliminates them with
-no type pass or copy, through ``resolution._pivots`` and the forward
-substitution ``_forward``, the two that ``solve_exact`` runs after
-``eliminate``'s checks and copy; an eliminated star row holds one or two
-entries, so both walk each row in a plain loop.  The sweep solves each pair
-once, and ``_invariants`` reads DCI and DCII from the coefficients.  It
-compares the results against the closed forms in
+uses, where k_v = 2 g(v) - 2 + w(v) is the adjunction right-hand side; DCI is
+then the quadratic form a^T M a and DCII is the Euler characteristic of the
+exceptional configuration minus one.  Each public function that takes a graph
+refuses any argument but a ``ResolutionGraph`` through ``errors._need``, the
+package's one refusal of a wrong argument kind, and trusts the graph, which
+checked itself when it was built.  ``coefficients_from_matrix`` checks the
+symmetry of the fresh rows of ``intersection_matrix``, the one check they
+need, and eliminates them with no type pass or copy, through
+``resolution._pivots`` and the forward substitution ``_forward``, the two
+that ``solve_exact`` runs after ``eliminate``'s checks and copy.  The sweep
+solves each pair once, and ``_invariants`` reads DCI and DCII from the
+coefficients.  It compares the results against the closed forms in
 :mod:`linesurf.local`, one ``OracleReport`` NamedTuple per pair, built
-positionally through ``tuple.__new__``.  The graphs
-take their arms from ``hj_expand``, one term per step, and the closed forms
-read ``hj_summary``'s run walk, which takes each run of 2s in one step, so
-the sweep also checks these two independent walks against each other.
-``canonical_coefficients`` runs the star recurrence for every pair and drops
-a_0 on a blown-down star, so the solve on the blown-down graphs checks that
-recurrence and the contraction step too.
+positionally through ``tuple.__new__``.  The graphs take their arms from
+``hj_expand``, one term per step, and the closed forms read ``hj_summary``'s
+run walk, which takes each run of 2s in one step, so the sweep also checks
+these two independent walks against each other.  ``canonical_coefficients``
+runs the star recurrence for every pair and drops a_0 on a blown-down star,
+so the solve on the blown-down graphs checks that recurrence and the
+contraction step too.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .errors import BadParameter, InternalCheckError, NotSymmetric
+from .errors import BadParameter, InternalCheckError, NotSymmetric, _need
 from .local import canonical_coefficients, local_invariants
 from .record import _repr
 from .resolution import (
@@ -89,8 +88,7 @@ def _forward(rows: list[dict[int, int]], b: list[int]) -> list[int | Fraction]:
 
 def adjunction_rhs(graph: ResolutionGraph) -> list[int]:
     """k_v = E_v . K = 2 g(v) - 2 + w(v) for every vertex."""
-    if type(graph) is not ResolutionGraph:
-        raise BadParameter(f"adjunction_rhs needs a ResolutionGraph, got {type(graph).__name__}")
+    _need(graph, ResolutionGraph, "adjunction_rhs")
     rhs = [weight - 2 for weight in graph.weights()]
     if graph.central is not None:
         rhs[0] += 2 * graph.central[0]
@@ -101,9 +99,7 @@ def coefficients_from_matrix(graph: ResolutionGraph) -> tuple[int, ...]:
     """Solve M a = k on the graph's rows, built here and so handed to
     ``_pivots`` as they are once they are checked symmetric (NotSymmetric
     otherwise); return the (checked integral) coefficients."""
-    if type(graph) is not ResolutionGraph:
-        raise BadParameter("coefficients_from_matrix needs a ResolutionGraph, "
-                           f"got {type(graph).__name__}")
+    _need(graph, ResolutionGraph, "coefficients_from_matrix")
     rows = intersection_matrix(graph)
     for i, row in enumerate(rows):
         for j, v in row.items():
@@ -118,9 +114,7 @@ def coefficients_from_matrix(graph: ResolutionGraph) -> tuple[int, ...]:
 
 def local_invariants_from_graph(graph: ResolutionGraph) -> tuple[int, int]:
     """(oracle DCI, oracle DCII) from the matrix and configuration alone."""
-    if type(graph) is not ResolutionGraph:
-        raise BadParameter("local_invariants_from_graph needs a ResolutionGraph, "
-                           f"got {type(graph).__name__}")
+    _need(graph, ResolutionGraph, "local_invariants_from_graph")
     return _invariants(graph, coefficients_from_matrix(graph))
 
 

@@ -143,7 +143,8 @@ class TestLine:
         with pytest.raises(BadParameter, match="not a primitive integer triple"):
             Line(value, 0, 0)
 
-    @pytest.mark.parametrize("value", ["x", "1/0", float("nan"), float("inf"), None])
+    # Fraction reads a bool as 0 or 1; Line.of refuses it, as Line does
+    @pytest.mark.parametrize("value", ["x", "1/0", float("nan"), float("inf"), None, True, False])
     def test_of_refuses_non_rational(self, value):
         with pytest.raises(BadParameter, match="coefficients must be rational"):
             Line.of(value, 0, 0)

@@ -429,6 +429,16 @@ class TestAgainstFractionReference:
         assert dense == [len(matrix)]
         assert_matches_reference(matrix, rhs)
 
+    def test_a_cancelled_entry_rebuilds_the_row(self):
+        # pivot 2 = -2 has two lower entries; it folds 2 into row 1 = {0: 1, 2: 1},
+        # whose a_10 becomes 2 * 1 - (-1)(-2) = 0, so the row is rebuilt without it
+        matrix = [[6, 1, -2], [1, 0, 1], [-2, 1, -2]]
+        rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+        rhs = [-2, 3, 1]
+        assert eliminate(rows, rhs) == ([{0: 8}, {1: 1}, {0: -2, 1: 1, 2: -2}], [-3, 7, 1])
+        assert solve_exact(rows, rhs) == [Fraction(-3, 8), 7, Fraction(27, 8)]
+        assert_matches_reference(matrix, rhs)  # the Fraction reference gives the same
+
 
 def counting_dense_pivots(monkeypatch) -> list:
     """Patch ``resolution._dense_pivots``, the list path of ``_pivots``, to
