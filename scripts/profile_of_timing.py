@@ -24,6 +24,9 @@ seconds, the median parse_arrangement pass, and the profile found.  Under
 "small" it gives the 40 small texts that follow the large file in the same
 seeded period of the arrangement-files workload: their count, their total
 line count, and the median and the fastest of the passes that parse all 40.
+Each timed pass runs under oracle_timing.collector_off: a full garbage
+collection before it and the collector off during it, so that no pass pays
+for another's garbage; the JSON says so under "gc".
 Only ratios from runs of two source trees interleaved in one process
 compare them: runs of one tree after the other once read unchanged code
 x1.33 apart, as the machine's speed moved.
@@ -42,6 +45,7 @@ from pathlib import Path
 
 from linesurf import parse_arrangement, profile_of
 from linesurf.arrangement import FLOOR_KEY_BITS
+from oracle_timing import collector_off
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import (LARGE_D, LARGE_POOL, PERIOD_SMALL, SMALL_D, SMALL_POOL, _primitive_lines,
@@ -78,10 +82,11 @@ def period_texts() -> tuple[str, list[str]]:
 def parse_seconds(texts: list[str], passes: int) -> list[float]:
     seconds = []
     for _ in range(passes):
-        start = time.perf_counter()
-        for text in texts:
-            parse_arrangement(text)
-        seconds.append(time.perf_counter() - start)
+        with collector_off():
+            start = time.perf_counter()
+            for text in texts:
+                parse_arrangement(text)
+            seconds.append(time.perf_counter() - start)
     return seconds
 
 
@@ -90,9 +95,10 @@ def timing(text: str, passes: int) -> dict:
     arrangement = parse_arrangement(text)
     seconds = []
     for _ in range(passes):
-        start = time.perf_counter()
-        profile = profile_of(arrangement)
-        seconds.append(time.perf_counter() - start)
+        with collector_off():
+            start = time.perf_counter()
+            profile = profile_of(arrangement)
+            seconds.append(time.perf_counter() - start)
     top = max(max(abs(line.a), abs(line.b), abs(line.c)) for line in arrangement.lines)
     return {"lines": arrangement.d, "max_bits": top.bit_length(),
             "median_s": statistics.median(seconds), "min_s": min(seconds),
@@ -113,7 +119,8 @@ def main() -> int:
     texts = {"large": large, "decimal": decimal_text(large),
              "random": random_lines_text(args.random_lines, SEED),
              "hostile": hostile_text(args.hostile_lines)}
-    report = {"passes": args.passes, "floor_key_bits": FLOOR_KEY_BITS}
+    report = {"passes": args.passes, "floor_key_bits": FLOOR_KEY_BITS,
+              "gc": "collected before each timed pass and disabled during it"}
     report.update((name, timing(text, args.passes)) for name, text in texts.items())
     parse = parse_seconds(small, args.passes)
     report["small"] = {"texts": len(small), "lines": sum(parse_arrangement(t).d for t in small),

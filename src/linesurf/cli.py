@@ -110,7 +110,8 @@ def _sweep_size_bound(r_max: int, d_max: int) -> int:
 
 
 def _resolve_input(args) -> tuple[Profile, Optional[int], dict]:
-    """Return (profile, q, input-echo) from exactly one input source."""
+    """Return (profile, catalog q, input-echo) from exactly one input source;
+    the echo's q is --q when given, else the catalog's."""
     sources = [s for s, given in (
         ("input", args.input is not None),
         ("profile", args.profile),
@@ -146,12 +147,8 @@ def _resolve_input(args) -> tuple[Profile, Optional[int], dict]:
         profile, q = entry.profile, entry.q
         source = f"catalog:{entry.name}"
 
-    if args.q is not None:
-        if q is not None and q != args.q:
-            print(f"warning: --q {args.q} overrides catalog q={q}", file=sys.stderr)
-        q = args.q
     echo = {"source": source, "d": profile.d,
-            "t": {_str(r): c for r, c in profile.t}, "q": q}
+            "t": {_str(r): c for r, c in profile.t}, "q": q if args.q is None else args.q}
     return profile, q, echo
 
 
@@ -204,8 +201,10 @@ def _print_table(report: dict) -> None:
 
 
 def cmd_invariants(args) -> int:
-    profile, q, echo = _resolve_input(args)
-    report = _build_report(profile, q, echo)
+    profile, catalog_q, echo = _resolve_input(args)
+    report = _build_report(profile, echo["q"], echo)
+    if catalog_q not in (None, echo["q"]):  # once the report with the overriding q is built
+        print(f"warning: --q {args.q} overrides catalog q={catalog_q}", file=sys.stderr)
     if args.format == "json":
         print(_dump(report))
     else:

@@ -1,8 +1,11 @@
 """Closed-form local invariants of a single singularity G_r(u, v) + t^d = 0.
 
-One derivation for every pair: on the weighted-homogeneous star, a_0, a_1 and
-a_lambda have closed forms and the interior entries follow the three-term
-recurrence of the adjunction system, which is re-verified before returning.
+One derivation for every pair: on the weighted-homogeneous star, a_0 and a_1
+have closed forms, and one pass of the adjunction system's three-term arm
+recurrence over n_1, ..., n_lambda gives a_2, ..., a_{lambda+1}, so arm
+equations 1 to lambda - 1 hold by construction.  The pass is checked at the
+system's ends: the tail a_lambda = -(r-2) on stars with arms, then the central
+equation, then the tip a_{lambda+1} = 0, which is arm equation lambda.
 When d = 1 (mod r) the centre E_0 is a (-1)-curve (central weight b = 1), and
 contracting it gives the minimal blown-down star; as K_{X'} = pi*K_X + E_0,
 the other coefficients do not change, so that shape keeps (a_1, ..., a_lambda),
@@ -57,15 +60,17 @@ class LocalInvariants(NamedTuple):
 def canonical_coefficients(r: int, d: int) -> CanonicalCoefficients:
     g, alpha, w3, _, beta, b, _ = _weights(r, d)
     terms = hj_expand(alpha, beta).terms
-    vals = [(2 - r) * alpha + w3 - 1]
-    if terms:
-        vals.append((2 - r) * beta + b // g - 1)  # b/g = (1 + b'beta)/alpha
-        for k in range(1, len(terms)):
-            n_k = terms[k - 1]
-            vals.append(n_k * vals[k] - vals[k - 1] + n_k - 2)
-        if vals[-1] != -(r - 2):
-            raise InternalCheckError(f"tail coefficient is not -(r-2) for (r, d)=({r}, {d})")
-    _check_star_system(r, d, g, b, terms, vals)
+    # b/g = (1 + b'beta)/alpha; with no arms a_1 = 0 is already the tip a_{lambda+1}
+    vals = [(2 - r) * alpha + w3 - 1, (2 - r) * beta + b // g - 1]
+    for k, n_k in enumerate(terms, 1):
+        # arm equation k: -n_k a_k + a_{k-1} + a_{k+1} = n_k - 2
+        vals.append(n_k * vals[k] - vals[k - 1] + n_k - 2)
+    if terms and vals[-2] != -(r - 2):
+        raise InternalCheckError(f"tail coefficient is not -(r-2) for (r, d)=({r}, {d})")
+    if -b * vals[0] + r * vals[1] != (r - 2) * (g - 1) - 2 + b:
+        raise InternalCheckError(f"central equation fails for (r, d)=({r}, {d})")
+    if vals.pop():  # a_{lambda+1} = 0
+        raise InternalCheckError(f"arm equation {len(terms)} fails for (r, d)=({r}, {d})")
     if d % r == 1:
         # E_0 is a (-1)-curve and K_{X'} = pi*K_X + E_0: contracting it drops a_0 only
         return CanonicalCoefficients(r, d, BLOWN_DOWN_STAR, tuple(vals[1:]))
@@ -91,13 +96,3 @@ def local_invariants(r: int, d: int) -> LocalInvariants:
     # one C call, not the generated Python __new__ (see the module docstring)
     return tuple.__new__(LocalInvariants, (r, d, dci, dcii, dmy, e))
 
-
-def _check_star_system(r, d, g, b, terms, vals) -> None:
-    """Residual check of the adjunction system for the star shape."""
-    a = list(vals) + [0]  # a_{lambda+1} = 0
-    if -b * a[0] + r * a[1] != (r - 2) * (g - 1) - 2 + b:
-        raise InternalCheckError(f"central equation fails for (r, d)=({r}, {d})")
-    for k in range(1, len(terms) + 1):
-        n_k = terms[k - 1]
-        if -n_k * a[k] + a[k - 1] + a[k + 1] != n_k - 2:
-            raise InternalCheckError(f"arm equation {k} fails for (r, d)=({r}, {d})")

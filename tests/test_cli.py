@@ -132,6 +132,12 @@ class TestInvariants:
         assert "overrides" in err
         assert json.loads(out)["hodge"]["q"] == 2
 
+    def test_refused_q_override_does_not_warn(self, capsys):
+        # the warning comes only once the report with the overriding q is built
+        code, out, err = run(capsys, "invariants", "--catalog", "hesse", "--q", "-1")
+        assert code == 2 and out == ""
+        assert err == "NegativeHodgeNumber: irregularity q must be nonnegative, got -1\n"
+
     def test_table_format(self, capsys):
         code, out, _ = run(capsys, "invariants", "--catalog", "ceva", "--m", "3")
         assert code == 0

@@ -9,8 +9,8 @@ them only by a fault in the very quantity they compare:
   * the parity of (r - 2)(g - 1): r odd has odd divisors only, so only a
     wrong gcd makes g even;
   * the tip equation of the arm: once the tail a_lambda = -(r - 2) holds,
-    only a wrong last term n_lambda, which the recurrence never reads,
-    breaks it, and on r = 3 not even that;
+    only a wrong last term n_lambda, which the recurrence reads only to form
+    a_{lambda+1}, breaks it, and on r = 3 not even that;
   * the c2 identity: once 12 | c1^2 + c2, the Hodge numbers give c2 back for
     any (c1^2, c2), so only a wrong ``HodgeDiamond.c2`` breaks it.
 """
@@ -49,12 +49,14 @@ class TestLocal:
         with raises(r"^tail coefficient is not -\(r-2\) for \(r, d\)=\(3, 7\)$"):
             canonical_coefficients(3, 7)
 
-    def test_tip_equation(self, monkeypatch):
+    @pytest.mark.parametrize("d, lam", [(7, 3), (9, 2)])
+    def test_tip_equation(self, monkeypatch, d, lam):
         # (4, 7) expands 7/3 as (2, 2, 3): a wrong last term leaves the tail as it
-        # is and breaks the arm's last equation
+        # is and breaks the arm's last equation; (4, 9), blown down, expands 9/2
+        # as (5, 2) and drops a_0 only after the check
         monkeypatch.setattr(local, "hj_expand", expansion_with(-1))
-        with raises(r"^arm equation 3 fails for \(r, d\)=\(4, 7\)$"):
-            canonical_coefficients(4, 7)
+        with raises(rf"^arm equation {lam} fails for \(r, d\)=\(4, {d}\)$"):
+            canonical_coefficients(4, d)
 
     def test_central_equation(self, monkeypatch):
         # (3, 3) has no arms, so a_0 = (2 - r) alpha + w3 - 1 alone meets the

@@ -39,6 +39,7 @@ from linesurf.errors import (
     NotCoprime,
     UnbalancedProfile,
 )
+from linesurf.record import _str
 
 HESSE = catalog_profile("hesse").profile
 
@@ -172,6 +173,11 @@ def test_repr_of_an_int_past_the_digit_limit():
     assert repr(parse_arrangement("1e4300 0 1\n0 1 0\n")) == (
         "Arrangement(lines=(Line(a=<int of 14285 bits>, b=0, c=1), Line(a=0, b=1, c=0)))")
     assert repr(Line(1, -(10 ** 4300), 0)) == "Line(a=1, b=<-int of 14285 bits>, c=0)"
+
+
+def test_str_of_a_whole_fraction_past_the_digit_limit():
+    # str refuses the numerator; a Fraction of denominator 1 prints it alone, every digit
+    assert _str(Fraction(10**5000)) == "1" + "0" * 5000
 
 
 BIG = 10**5000  # past the digit limit of int-to-str conversion

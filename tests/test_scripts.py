@@ -78,6 +78,8 @@ def test_profile_of_timing():
     report = json.loads(done.stdout)
     assert report["passes"] == 2
     assert report["floor_key_bits"] == FLOOR_KEY_BITS
+    # no timed pass pays for a collection that earlier garbage triggers
+    assert report["gc"] == "collected before each timed pass and disabled during it"
     # the benchmark's 200-line file, its decimal copy and the random one below
     # the cutover, the hostile one far past it
     for name, d, below in (("large", 200, True), ("decimal", 200, True), ("random", 6, True),
