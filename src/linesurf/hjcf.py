@@ -10,13 +10,14 @@ resolution graphs.  ``modular_beta`` gives the beta the resolution uses.
 ``hj_expand`` takes one term per step of the remainder recurrence; graphs and
 canonical coefficients, its callers, build O(lambda) output anyway.
 ``hj_summary`` keeps only lambda and the term sum, which the local invariants
-read, and is the one walk that takes a run of 2s in one step: O(log alpha)
-steps even when lambda is about alpha.  The oracle's graphs come from the
-first walk and the closed forms from the second, so each checks the other.
+read when d mod r >= 2, and is the one walk that takes a run of 2s in one step:
+O(log alpha) steps even when lambda is about alpha.  The oracle's graphs come
+from the first walk and those rows from the second, so each checks the other;
+the O(1) rows of d = 0, 1 (mod r) read neither.
 
 Two unchecked helpers serve ``resolution._weights``, which has already checked
-(r, d): ``_neg_inverse`` is ``modular_beta`` without its checks, and
-``_run_walk`` is ``hj_summary``'s loop without its checks.
+(r, d) in ``_check_germ``: ``_neg_inverse`` is ``modular_beta`` without its
+checks, and ``_run_walk`` is ``hj_summary``'s loop without its checks.
 """
 
 from __future__ import annotations

@@ -11,10 +11,12 @@ contracting it gives the minimal blown-down star; as K_{X'} = pi*K_X + E_0,
 the other coefficients do not change, so that shape keeps (a_1, ..., a_lambda),
 the progression a_k = -(r-2)(lambda+1-k).  DCI and DCII of a star read only
 the arm length lambda and the term sum of alpha/beta, in O(log d) steps from
-``hj_summary``'s run walk on the checked weights of ``resolution._weights``;
-the blown-down star takes its row in O(1).  A node, r = 2,
-is one of the two shapes by the parity of d, and both give its crepant row
-DCI = 0, DCII = d - 1.
+``hj_summary``'s run walk on the checked weights of ``resolution._weights``.
+The rows with d = 0, 1 (mod r) cost O(1) and read no weights: the blown-down
+star's, and the star's when d = 0 (mod r), whose g = b = r and whose arms are
+d/r - 1 (-2)-curves each.  ``resolution._check_germ`` checks (r, d) before
+``local_invariants`` reads d mod r.  A node, r = 2, is one of these two
+shapes by the parity of d, and both give its crepant row DCI = 0, DCII = d - 1.
 
 The quadruple (DCI, DCII, DMY, E) records the changes in c_1^2, the Euler
 number, the Miyaoka-Yau number, and the per-point Miyaoka-Yau contribution
@@ -32,7 +34,7 @@ from typing import NamedTuple
 
 from .errors import InternalCheckError
 from .hjcf import _run_walk, hj_expand
-from .resolution import BLOWN_DOWN_STAR, STAR, _weights
+from .resolution import BLOWN_DOWN_STAR, STAR, _check_germ, _weights
 
 
 class CanonicalCoefficients(NamedTuple):
@@ -78,13 +80,20 @@ def canonical_coefficients(r: int, d: int) -> CanonicalCoefficients:
 
 
 def local_invariants(r: int, d: int) -> LocalInvariants:
-    g, alpha, _, _, beta, b, _ = _weights(r, d)
-    if d % r == 1:
+    _check_germ(r, d)  # before d % r: r = 0 must raise BadMultiplicity, not ZeroDivisionError
+    m = d % r
+    if m == 1:
         # the star's row plus the contraction's (+1, -1), in O(1); reading the star
         # forms here instead costs odd-d nodes a run walk on every report
         dci = -(d - 1) * (r - 2) ** 2
         dcii = d - 1
+    elif m == 0:
+        # g = b = r, b' = 1, beta = alpha - 1: each arm is d/r - 1 (-2)-curves, so
+        # lambda = d/r - 1 and the term sum 2 lambda reduce the star forms below
+        dci = -d * (r - 2) ** 2
+        dcii = d - r + 1 - (r - 1) * (r - 2)
     else:
+        g, alpha, _, _, beta, b, _ = _weights(r, d)
         lam, term_sum = _run_walk(alpha, beta)
         dci = (-d * (r - 2) ** 2
                - r * (term_sum - 2 * lam)

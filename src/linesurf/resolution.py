@@ -10,8 +10,11 @@ takes the same two shapes by the parity of d: for d even a genus-0 centre of
 weight 2 with two arms of 2s, for d odd two arms of 2s whose roots meet.
 
 ``ResolutionGraph`` is a record that checks itself once, when it is built,
-so every caller trusts it.  Every internal caller reads ``_weights``, the
-checked plain tuple behind the public ``WeightData`` NamedTuple.
+so every caller trusts it.  ``_check_germ`` is the one check of the types and
+range of (r, d).  Every internal caller that needs the weights reads
+``_weights``, the checked plain tuple behind the public ``WeightData``
+NamedTuple, which runs that check first; ``local_invariants`` runs it alone
+on the rows with d = 0, 1 (mod r), which need no weights.
 
 Vertex order is fixed everywhere: central first (when present), then arm 1
 root to tip, arm 2, and so on; only DOT names the nodes: ``c`` and
@@ -149,16 +152,24 @@ def weight_data(r: int, d: int) -> WeightData:
     return WeightData(r, d, *_weights(r, d))
 
 
-def _weights(r: int, d: int) -> tuple[int, int, int, int, int, int, int]:
-    """The fields of ``weight_data(r, d)`` after (r, d), as a plain tuple:
-    the one place where (r, d) is checked.  alpha = d/g and b' = r/g are
-    coprime by construction, so beta comes from ``hjcf._neg_inverse``
-    unchecked, and the (alpha, beta) that alpha | 1 + b'beta then certifies
-    goes to ``hjcf._run_walk`` unchecked."""
+def _check_germ(r: int, d: int) -> None:
+    """The one check of the types and range of (r, d): ints with
+    2 <= r <= d, else BadParameter or BadMultiplicity.  ``_weights`` runs
+    it, and so does ``local_invariants`` before it reads d mod r, since its
+    rows for d = 0, 1 (mod r) need no weights."""
     if not type(r) is type(d) is int:  # one chained test: profile reports call this often
         raise BadParameter(f"r and d must be ints, got {type(r).__name__} and {type(d).__name__}")
     if r < 2 or r > d:
         raise BadMultiplicity(f"need 2 <= r <= d, got r={_repr(r)}, d={_repr(d)}")
+
+
+def _weights(r: int, d: int) -> tuple[int, int, int, int, int, int, int]:
+    """The fields of ``weight_data(r, d)`` after (r, d), as a plain tuple,
+    once ``_check_germ`` has passed (r, d).  alpha = d/g and b' = r/g are
+    coprime by construction, so beta comes from ``hjcf._neg_inverse``
+    unchecked, and the (alpha, beta) that alpha | 1 + b'beta then certifies
+    goes to ``hjcf._run_walk`` unchecked."""
+    _check_germ(r, d)
     g = gcd(r, d)
     alpha = d // g
     bprime = r // g

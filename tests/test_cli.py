@@ -568,21 +568,21 @@ class TestVerify:
 
     def test_fault_in_the_run_walk_is_caught(self, capsys, monkeypatch):
         # the closed forms read a wrong run walk, the unchecked loop behind
-        # hj_summary; the oracle's graphs take their arms from hj_expand, so
-        # every star pair mismatches, and so does every node with d even,
-        # which takes the star forms
+        # hj_summary; the oracle's graphs take their arms from hj_expand.
+        # Rows with d = 0, 1 (mod r), every node among them, are closed forms
+        # that read no walk, so exactly the stars with d mod r >= 2 mismatch
         def wrong(alpha, beta):
             lam, total = _run_walk(alpha, beta)
             return lam + 1, total + 2
 
         monkeypatch.setattr(local, "_run_walk", wrong)
-        stars = [(2, 2), (2, 4), (2, 6), (2, 8),
-                 (3, 3), (3, 5), (3, 6), (3, 8), (4, 4), (4, 6), (4, 7), (4, 8)]
-        code, out, _ = run(capsys, "verify", "--r-max", "4", "--d-max", "8")
+        stars = [(r, d) for r in range(2, 6) for d in range(r, 13) if d % r >= 2]
+        assert {r for r, _ in stars} == {3, 4, 5}
+        code, out, _ = run(capsys, "verify", "--r-max", "5", "--d-max", "12")
         assert code == 1
         assert out.splitlines() == ["  r   d  coeffs  dci  dcii"] + [
             f"{r:3d} {d:3d}  True   True False" for r, d in stars]
-        code, out, _ = run(capsys, "verify", "--r-max", "4", "--d-max", "8", "--json")
+        code, out, _ = run(capsys, "verify", "--r-max", "5", "--d-max", "12", "--json")
         assert code == 1 and json.loads(out)["mismatches"] == len(stars)
 
 

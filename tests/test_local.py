@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from linesurf import canonical_coefficients, hj_expand, local_invariants, weight_data
+from linesurf import canonical_coefficients, hj_expand, hj_summary, local_invariants, weight_data
 from linesurf.errors import BadMultiplicity
 from linesurf.local import LocalInvariants
 from linesurf.resolution import BLOWN_DOWN_STAR, STAR
@@ -21,6 +21,24 @@ def expansion_star_invariants(r, d):
     dcii = 1 + r * exp.length - (r - 2) * (wd.g - 1)
     return dci, dcii
 
+
+def weight_system_row(r, d):
+    """(DCI, DCII) by the rule ``local_invariants`` followed before it took
+    d = 0 (mod r) in closed form: the blown-down row when d = 1 (mod r), else
+    the star forms from the public ``weight_data`` and ``hj_summary``."""
+    if d % r == 1:
+        return -(d - 1) * (r - 2) ** 2, d - 1
+    wd = weight_data(r, d)
+    lam, term_sum = hj_summary(wd.w1, wd.beta)
+    dci = (-d * (r - 2) ** 2
+           - r * (term_sum - 2 * lam)
+           + 2 * (r - 2) * (r - wd.g)
+           + (r - wd.b))
+    return dci, 1 + r * lam - (r - 2) * (wd.g - 1)
+
+
+# degrees far past any graph the oracle could build: only the closed forms answer
+HUGE_DEGREES = [10**40 + 1, 10**40 + 2, 3**90, 2**130, 2**130 + 1]
 
 rd_pairs = st.integers(min_value=2, max_value=60).flatmap(
     lambda d: st.tuples(st.integers(min_value=2, max_value=d), st.just(d)))
@@ -118,6 +136,15 @@ class TestLocalInvariants:
             assert type(row) is LocalInvariants and row == built, (r, d)
             assert row._asdict() == built._asdict() and repr(row) == repr(built), (r, d)
 
+    def test_equals_the_weight_system_rule(self):
+        # the rows for d = 0, 1 (mod r) read no weights; on every residue they
+        # must equal the star forms of weight_data and hj_summary
+        huge = [(r, d) for d in HUGE_DEGREES for r in (*range(2, 13), d - 1, d)]
+        small = [(r, d) for d in range(2, 301) for r in range(2, d + 1)]
+        for r, d in small + huge:
+            inv = local_invariants(r, d)
+            assert (inv.dci, inv.dcii) == weight_system_row(r, d), (r, d)
+
     def test_worked_example(self):
         inv = local_invariants(3, 5)
         assert (inv.dci, inv.dcii, inv.dmy, inv.e) == (-3, 7, 24, 24)
@@ -175,6 +202,12 @@ class TestLocalInvariants:
         with pytest.raises(BadMultiplicity):
             local_invariants(5, 4)
 
+    @pytest.mark.parametrize("r, d", [(0, 5), (-1, 5), (1, 5), (6, 5)])
+    def test_refused_before_the_residue(self, r, d):
+        # d % r would raise ZeroDivisionError at r = 0 and give a row at r = 1
+        with pytest.raises(BadMultiplicity):
+            local_invariants(r, d)
+
 
 def geometric_genus(r, d):
     """p_g of G_r(u, v) + t^d = 0 as the sum over s of (s - 1) floor(d (r - s) / r)."""
@@ -205,8 +238,7 @@ class TestLaufer:
             for r in range(2, d + 1):
                 assert laufer_holds(r, d), (r, d)
 
-    @pytest.mark.parametrize("d", [10**40 + 1, 10**40 + 2, 3**90, 2**130, 2**130 + 1])
+    @pytest.mark.parametrize("d", HUGE_DEGREES)
     def test_identity_at_huge_degree(self, d):
-        # far past any graph the oracle could build: only the closed forms answer
         for r in range(2, 13):
             assert laufer_holds(r, d), (r, d)

@@ -187,6 +187,7 @@ BIG = 10**5000  # past the digit limit of int-to-str conversion
 # or a number that is no int; or a profile's t that is no iterable of pairs
 BAD_NUMBERS = {
     "weight_data-huge": (lambda: weight_data(10**4301, 5), BadMultiplicity),
+    "local_invariants-huge": (lambda: local_invariants(10**4301, 5), BadMultiplicity),
     "sweep_verify-huge": (lambda: sweep_verify(10**4301, 5), BadParameter),
     "hj_expand-huge": (lambda: hj_expand(10**4400, 10**4400), BetaOutOfRange),
     "modular_beta-huge": (lambda: modular_beta(10**4400, 2 * 10**4400), NotCoprime),

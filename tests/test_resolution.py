@@ -78,7 +78,9 @@ class TestWeightData:
             weight_data(6, 5)
 
     @pytest.mark.parametrize("call, args", [
-        (local_invariants, (3, 10.0)), (build_resolution_graph, (3, 10.0)),
+        (local_invariants, (3, 10.0)), (local_invariants, (2, 4.0)), (local_invariants, (3, 9.0)),
+        (local_invariants, (2.0, 5)), (local_invariants, (True, 3)),
+        (build_resolution_graph, (3, 10.0)),
         (weight_data, (3, 7.0)), (weight_data, (3.0, 7)), (weight_data, (True, 7)),
         (weight_data, ("3", 7)), (graph_size, (3, 7.0)),
         (sweep_verify, (3, 10.0)), (sweep_verify, (3.0, 10)), (sweep_verify, (True, 10)),
@@ -88,11 +90,12 @@ class TestWeightData:
             call(*args)
 
     def test_one_check_covers_the_run_walk(self):
-        # _weights is the one check of (r, d): it takes beta from the
-        # unchecked _neg_inverse and hands its (alpha, beta) to the unchecked
-        # run walk.  modular_beta's and hj_summary's own checks must pass on
-        # every such pair, each helper must agree with its checked form, and
-        # weight_data must equal its fields rebuilt through modular_beta
+        # _check_germ is the one check of (r, d), and _weights runs it before
+        # it takes beta from the unchecked _neg_inverse and hands its (alpha,
+        # beta) to the unchecked run walk; local_invariants reads them only
+        # when d mod r >= 2.  modular_beta's and hj_summary's own checks must
+        # pass on every such pair, each helper must agree with its checked
+        # form, and weight_data must equal its fields rebuilt through modular_beta
         huge = [(r, d) for d in (10**40 + 1, 3**90, 2**130 + 3)
                 for r in (2, 3, 4, 5, 6, 9, 27, 1000, d // 3, d - 1, d)]
         small = [(r, d) for d in range(2, 301) for r in range(2, d + 1)]
