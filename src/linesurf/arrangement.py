@@ -56,7 +56,7 @@ MAX_EXPONENT = 4300
 # meeting by a gcd-normalised pair instead of one floor(u*N/v) int.  On 80
 # random lines the floor key took x0.61-0.70 of the gcd key's time up to 384
 # bits, x0.71 at 512, x0.82 at 640, x0.94 at 1024, x1.09 at 1280, x1.27 at
-# 2048, and x5.4 on the 28,000-bit file of scripts/profile_of_timing.py
+# 2048, and x5.4 on the 28,000-bit file of the hostile steps of scripts/ab.py
 # (Python 3.11, 2-vCPU Xeon VM), so the cutover sits below the crossover.
 FLOOR_KEY_BITS = 512
 

@@ -1,5 +1,7 @@
-"""Smoke tests of the scripts: each runs as its own process on the source tree."""
+"""Smoke tests of the scripts: each runs as its own process on the source tree;
+ab.py's loader also runs in this one."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from linesurf import chern_ratio_analysis, local_invariants, validate_profile
+from linesurf import (chern_ratio_analysis, local_invariants, parse_arrangement, profile_of,
+                      validate_profile)
 from linesurf.arrangement import FLOOR_KEY_BITS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,53 +74,65 @@ def test_local_table_residue():
         assert tuple(quadruple) == local_invariants(r, d)[2:], (r, d)
 
 
-def test_profile_of_timing():
-    done = run_process("profile_of_timing.py", "--passes", "2", "--random-lines", "6",
-                       "--hostile-lines", "4")
-    assert (done.returncode, done.stderr) == (0, ""), done.stderr
-    report = json.loads(done.stdout)
-    assert report["passes"] == 2
-    assert report["floor_key_bits"] == FLOOR_KEY_BITS
-    # no timed pass pays for a collection that earlier garbage triggers
-    assert report["gc"] == "collected before each timed pass and disabled during it"
-    # the benchmark's 200-line file, its decimal copy and the random one below
-    # the cutover, the hostile one far past it
-    for name, d, below in (("large", 200, True), ("decimal", 200, True), ("random", 6, True),
-                           ("hostile", 4, False)):
-        timing = report[name]
-        assert timing["lines"] == d
-        assert (timing["max_bits"] < FLOOR_KEY_BITS) == below
-        assert 0 < timing["min_s"] <= timing["median_s"]
-        assert timing["parse_median_s"] > 0
-        # the profile is balanced: every pair of lines meets in one point
-        assert sum(comb(int(r), 2) * count for r, count in timing["t"].items()) == comb(d, 2)
-    assert report["decimal"]["t"] == report["large"]["t"]
-    # the 40 small texts of an arrangement-files period: 6, 7, ..., 30 lines,
-    # then 6, ..., 20 again
-    small = report["small"]
-    assert small["texts"] == 40
-    assert small["lines"] == sum(range(6, 31)) + sum(range(6, 21))
-    assert 0 < small["parse_min_s"] <= small["parse_median_s"]
+# at least one step of each kind, each under 0.05 s a pass
+CHEAP_STEPS = ["sweep_8_24", "pivots_8_24", "forward_8_24", "definite_build_zero_free",
+               "definite_matrix_zero_free", "definite_check_copy_zero_free",
+               "definite_pivots_zero_free", "definite_whole_zero_free", "parse_small",
+               "parse_hostile", "profile_of_large", "report", "canonical"]
 
 
-def test_oracle_timing():
-    done = run_process("oracle_timing.py", "--passes", "1")
+def test_ab_against_the_checkout():
+    argv = ["--base", str(ROOT), "--rounds", "1", "--passes", "1"]
+    done = run_process("ab.py", *argv, *(arg for step in CHEAP_STEPS for arg in ("--step", step)))
     assert (done.returncode, done.stderr) == (0, ""), done.stderr
-    report = json.loads(done.stdout)
-    assert report["passes"] == 1
-    # no step pays for a collection that another step's garbage triggers
-    assert report["gc"] == "collected before each timed step and disabled during it"
-    # the oracle-sweep operation and the reference rectangle: one system per pair
-    for key, r_max, d_max in (("sweep_verify(8, 24)", 8, 24), ("sweep_verify(10, 60)", 10, 60)):
-        timing = report[key]
-        assert timing["pairs"] == sum(d_max - r + 1 for r in range(2, r_max + 1))
-        for step in ("sweep", "pivots", "forward"):
-            assert 0 < timing[step]["min_s"] <= timing[step]["median_s"]
-    # every graph with 2 <= r <= d <= 40, whole and in the definite-sweep operation's four steps
-    definite = report["check_negative_definite"]
-    assert (definite["d_max"], definite["graphs"]) == (40, comb(40, 2))
-    assert list(definite["steps"]) == ["build", "matrix", "check_copy", "pivots"]
-    for timing in (definite, *definite["steps"].values()):
-        assert 0 < timing["min_s"] <= timing["median_s"]
-        # one graph's fastest time, at the median over graphs, is below a pass's total
-        assert 0 < timing["graph_p50_s"] < timing["min_s"]
+    steps = json.loads(done.stdout)["steps"]
+    assert list(steps) == CHEAP_STEPS
+    for step in steps.values():
+        assert step["head_s"] > 0 and step["base_s"] > 0
+        assert step["ratio"] == step["ratio_q1"] == step["ratio_q3"] > 0
+        assert step["head_won"] + step["base_won"] <= 1
+
+
+def test_ab_refusals(tmp_path):
+    unknown = run_process("ab.py", "--base", str(ROOT), "--step", "no_such_step")
+    assert (unknown.returncode, unknown.stdout) == (2, "")
+    # a base without src/linesurf/__init__.py: exit 2 and one line on stderr
+    done = run_process("ab.py", "--base", str(tmp_path))
+    assert (done.returncode, done.stdout, len(done.stderr.splitlines())) == (2, "", 1)
+
+
+@pytest.fixture
+def ab(monkeypatch):
+    """scripts/ab.py imported in this process; the modules it loads are dropped afterwards."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = set(sys.modules)
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "scripts" / "ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    for name in set(sys.modules) - before:
+        del sys.modules[name]
+
+
+def test_ab_loads_two_distinct_trees(ab):
+    trees = ab.load_trees(ROOT)
+    head, base = ({name.partition(".")[2]: module for name, module in sys.modules.items()
+                   if name.partition(".")[0] == package}
+                  for package in ("linesurf_head", "linesurf_base"))
+    assert head.keys() == base.keys() >= {"", "local", "surface", "resolution", "verify"}
+    assert (head[""], base[""]) == (trees["head"], trees["base"])
+    # no module object is shared, so a step times each tree's own code
+    assert not set(map(id, head.values())) & set(map(id, base.values()))
+    assert trees["base"].surface.local_invariants.__module__ == "linesurf_base.local"
+
+
+def test_ab_inputs(ab):
+    texts = ab.texts()
+    # the 40 small texts of an arrangement-files period: 6, ..., 30 lines, then 6, ..., 20
+    assert [parse_arrangement(t).d for t in texts["small"]] == [*range(6, 31), *range(6, 21)]
+    parsed = {name: parse_arrangement(text) for name, text in texts.items() if name != "small"}
+    assert profile_of(parsed["decimal"]) == profile_of(parsed["large"])
+    # only the hostile file takes profile_of's gcd keys
+    for name, arrangement in parsed.items():
+        top = max(max(abs(line.a), abs(line.b), abs(line.c)) for line in arrangement.lines)
+        assert (top.bit_length() >= FLOOR_KEY_BITS) == (name == "hostile"), name
